@@ -34,9 +34,7 @@ from .formula import (
     Prop,
     Top,
     agents_mentioned,
-    modal_depth,
     possibly,
-    syntactic_eq,
 )
 from .game import (
     Game,
@@ -44,7 +42,6 @@ from .game import (
     GameValidationError,
     Play,
     Strategy,
-    agrees,
     load,
     save,
     validate,

@@ -3,13 +3,15 @@
 Two routes compute truth values.  ``satisfies`` is the literal recursive
 definition: N re-scans every play, and B enumerates the coalition's
 strategies one by one.  ``evaluate_all`` computes whole truth vectors as
-bitmasks with per-subformula caching; for a B node it never enumerates
-strategies, since a strategy fails to prevent the child formula exactly
-when some child-satisfying play pins it down.  The two routes must agree
-bit for bit, so ``satisfies`` stays deliberately naive as an oracle.
+bitmasks through ``truth_mask``, memoised per node of the formula tree;
+for a B node it never enumerates strategies, since a strategy fails to
+prevent the child formula exactly when some child-satisfying play pins
+it down.  The two routes must agree bit for bit, so ``satisfies`` stays
+deliberately naive as an oracle.
 
-Both routes pre-check every B node in the formula against the strategy
-enumeration cap, so they raise identical errors as well.
+Both routes pre-check every B node in the formula, in one walk, for
+agents the game lacks and then against the strategy enumeration cap, so
+they raise identical errors as well.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .formula import (
     Or,
     Prop,
     Top,
-    agents_mentioned,
+    blame_nodes,
+    truth_mask,
 )
 from .game import Game, Strategy
 
@@ -100,48 +103,34 @@ class BlameReport:
         }
 
 
-def _check_agents(g: Game, f: Formula, extra: Coalition | None = None) -> None:
-    mentioned = agents_mentioned(f)
-    if extra is not None:
-        mentioned |= set(extra.members)
-    unknown = mentioned - set(g.agents)
-    if unknown:
-        raise ValueError(f"agents not in the game: {sorted(unknown)}")
-
-
 def _space(g: Game, coalition: Coalition) -> int:
     return len(g.actions) ** len(coalition)
 
 
-def _check_caps(g: Game, f: Formula, cap: int, extra: Coalition | None = None) -> None:
-    # Walk every B node up front so both evaluation routes fail alike,
-    # regardless of short-circuiting.
-    if extra is not None and len(extra) and _space(g, extra) > cap:
-        raise StrategySpaceError(extra, _space(g, extra), cap)
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Blame):
-            if len(node.coalition) and _space(g, node.coalition) > cap:
-                raise StrategySpaceError(node.coalition, _space(g, node.coalition), cap)
-            stack.append(node.child)
-        elif isinstance(node, (Not, Necessity)):
-            stack.append(node.child)
-        elif isinstance(node, (Implies, And, Or, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
+def _precheck(g: Game, f: Formula, cap: int, extra: Coalition | None = None) -> None:
+    # Check every B node up front so both evaluation routes fail alike,
+    # regardless of short-circuiting.  An unknown agent anywhere is
+    # reported before any strategy space over the cap.
+    coalitions = [node.coalition for node in blame_nodes(f)]
+    if extra is not None:
+        coalitions.insert(0, extra)
+    unknown = {a for c in coalitions for a in c} - set(g.agents)
+    if unknown:
+        raise ValueError(f"agents not in the game: {sorted(unknown)}")
+    for c in coalitions:
+        if len(c) and _space(g, c) > cap:
+            raise StrategySpaceError(c, _space(g, c), cap)
 
 
 def _check_play_index(g: Game, play_index: int) -> None:
-    if not isinstance(play_index, int) or not 0 <= play_index < len(g.plays):
+    if type(play_index) is not int or not 0 <= play_index < len(g.plays):
         raise IndexError(f"play index {play_index} out of range for {len(g.plays)} plays")
 
 
 def satisfies(g: Game, play_index: int, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> bool:
     """Truth at one play, by direct recursion over the definition."""
     _check_play_index(g, play_index)
-    _check_agents(g, f)
-    _check_caps(g, f, cap)
+    _precheck(g, f, cap)
     return _sat(g, play_index, f)
 
 
@@ -180,47 +169,30 @@ def _sat(g: Game, i: int, f: Formula) -> bool:
 
 
 def evaluate_all(g: Game, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> EvalTable:
-    """Truth vector over all plays, cached per distinct subformula."""
-    _check_agents(g, f)
-    _check_caps(g, f, cap)
-    n = len(g.plays)
-    mask = _mask(g, f, (1 << n) - 1 if n else 0, {})
-    return EvalTable(f, tuple(bool(mask >> i & 1) for i in range(n)))
+    """Truth vector over all plays, memoised per node of the formula tree."""
+    _precheck(g, f, cap)
+    mask = _mask(g, f)
+    return EvalTable(f, tuple(bool(mask >> i & 1) for i in range(len(g.plays))))
 
 
-def _mask(g: Game, f: Formula, full: int, memo: dict) -> int:
-    cached = memo.get(f)
-    if cached is not None:
-        return cached
-    if isinstance(f, Prop):
-        m = 0
-        for i in g.valuation.get(f.name, frozenset()):
-            m |= 1 << i
-    elif isinstance(f, Top):
-        m = full
-    elif isinstance(f, Bottom):
-        m = 0
-    elif isinstance(f, Not):
-        m = ~_mask(g, f.child, full, memo) & full
-    elif isinstance(f, Implies):
-        m = (~_mask(g, f.left, full, memo) | _mask(g, f.right, full, memo)) & full
-    elif isinstance(f, And):
-        m = _mask(g, f.left, full, memo) & _mask(g, f.right, full, memo)
-    elif isinstance(f, Or):
-        m = _mask(g, f.left, full, memo) | _mask(g, f.right, full, memo)
-    elif isinstance(f, Iff):
-        m = ~(_mask(g, f.left, full, memo) ^ _mask(g, f.right, full, memo)) & full
-    elif isinstance(f, Necessity):
-        m = full if _mask(g, f.child, full, memo) == full else 0
-    elif isinstance(f, Blame):
-        child = _mask(g, f.child, full, memo)
+def _mask(g: Game, f: Formula) -> int:
+    full = (1 << len(g.plays)) - 1
+    memo: dict[int, int] = {}
+
+    def atom(node: Formula) -> int:
+        if isinstance(node, Prop):
+            m = 0
+            for i in g.valuation.get(node.name, frozenset()):
+                m |= 1 << i
+            return m
+        child = truth_mask(node.child, full, atom, memo)
+        if isinstance(node, Necessity):
+            return full if child == full else 0
         # The prevention condition does not depend on the play, so the
-        # node's vector is the child's vector or all-false.
-        m = child if _has_preventer(g, f.coalition, child) else 0
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[f] = m
-    return m
+        # B node's vector is the child's vector or all-false.
+        return child if _has_preventer(g, node.coalition, child) else 0
+
+    return truth_mask(f, full, atom, memo)
 
 
 def _blocked_codes(g: Game, members: tuple[str, ...], child_mask: int) -> set[int]:
@@ -243,19 +215,12 @@ def _blocked_codes(g: Game, members: tuple[str, ...], child_mask: int) -> set[in
 
 
 def _has_preventer(g: Game, coalition: Coalition, child_mask: int) -> bool:
-    if len(coalition) == 0:
-        # The empty strategy agrees with every play, so it is blocked as
-        # soon as the child holds anywhere; and where the child fails the
-        # node is false anyway.
-        return child_mask == 0
     members = tuple(a for a in g.agents if a in coalition)
     return len(_blocked_codes(g, members, child_mask)) < _space(g, coalition)
 
 
 def _witness(g: Game, coalition: Coalition, child_mask: int) -> Strategy | None:
     """Lexicographically first preventing strategy, or None."""
-    if len(coalition) == 0:
-        return None
     members = tuple(a for a in g.agents if a in coalition)
     blocked = _blocked_codes(g, members, child_mask)
     if len(blocked) >= _space(g, coalition):
@@ -280,10 +245,8 @@ def blame_witness(
 ) -> Strategy | None:
     """A preventing strategy for the coalition, when it is blamable here."""
     _check_play_index(g, play_index)
-    _check_agents(g, f, extra=coalition)
-    _check_caps(g, f, cap, extra=coalition)
-    n = len(g.plays)
-    child = _mask(g, f, (1 << n) - 1 if n else 0, {})
+    _precheck(g, f, cap, extra=coalition)
+    child = _mask(g, f)
     if not child >> play_index & 1:
         return None
     return _witness(g, coalition, child)
@@ -307,15 +270,13 @@ def blamable_coalitions(
     if not 0 <= max_size <= len(g.agents):
         raise ValueError(f"max_size {max_size} out of range for {len(g.agents)} agents")
     _check_play_index(g, play_index)
-    _check_agents(g, f)
-    _check_caps(g, f, cap)
+    _precheck(g, f, cap)
     for size in range(1, max_size + 1):
         space = len(g.actions) ** size
         if space > cap:
             raise StrategySpaceError(Coalition(sorted(g.agents)[:size]), space, cap)
 
-    n = len(g.plays)
-    child = _mask(g, f, (1 << n) - 1 if n else 0, {})
+    child = _mask(g, f)
     found: list[tuple[Coalition, Strategy]] = []
     if child >> play_index & 1:
         for size in range(1, max_size + 1):
@@ -324,13 +285,10 @@ def blamable_coalitions(
                 witness = _witness(g, coalition, child)
                 if witness is not None:
                     found.append((coalition, witness))
-    minimal_sets = [
-        c
-        for c, _ in found
-        if not any(set(o.members) < set(c.members) for o, _ in found)
-    ]
+    member_sets = [set(c.members) for c, _ in found]
     entries = tuple(
-        BlameEntry(c, w, minimal=c in minimal_sets) for c, w in found
+        BlameEntry(c, w, minimal=not any(o < s for o in member_sets))
+        for (c, w), s in zip(found, member_sets)
     )
     return BlameReport(play_index, f, max_size, entries)
 

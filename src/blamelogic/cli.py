@@ -16,8 +16,10 @@ from pathlib import Path
 from . import __version__
 from .checker import (
     StrategySpaceError,
+    _check_play_index,
     blamable_coalitions,
     evaluate_all,
+    valid_in_game,
 )
 from .game import GameFormatError, GameValidationError, load
 from .generate import GenParams, soundness_sweep
@@ -41,8 +43,7 @@ def _load_game(path: str):
 def _cmd_check(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
     table = evaluate_all(game, parse(args.formula))
-    if not 0 <= args.play < len(game.plays):
-        raise ValueError(f"play index {args.play} out of range for {len(game.plays)} plays")
+    _check_play_index(game, args.play)
     value = table.truth[args.play]
     print("true" if value else "false")
     return 0 if value else 1
@@ -50,11 +51,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_valid(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
-    table = evaluate_all(game, parse(args.formula))
-    for i, value in enumerate(table.truth):
-        if not value:
-            print(f"counterexample: play {i}")
-            return 1
+    failing = valid_in_game(game, parse(args.formula))
+    if failing is not None:
+        print(f"counterexample: play {failing}")
+        return 1
     print("ok")
     return 0
 
@@ -172,7 +172,14 @@ def main(argv: list[str] | None = None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
 
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -4,13 +4,17 @@ The core grammar is propositions, !, ->, N (true at every play) and
 B{...} (the coalition is blamable).  The usual derived connectives are
 kept as first-class nodes.  "<N>" (true at some play) is not a node: it
 is always stored desugared as Not(Necessity(Not(...))).
+
+``truth_mask`` is the one Boolean fold over the propositional skeleton;
+the model checker and the tautology checker differ only in the vectors
+they give its atoms.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Coalition",
@@ -26,8 +30,8 @@ __all__ = [
     "Or",
     "Iff",
     "possibly",
-    "syntactic_eq",
-    "modal_depth",
+    "truth_mask",
+    "blame_nodes",
     "agents_mentioned",
     "check_ident",
     "is_ident",
@@ -157,29 +161,49 @@ def possibly(f: Formula) -> Formula:
     return Not(Necessity(Not(f)))
 
 
-def syntactic_eq(a: Formula, b: Formula) -> bool:
-    """Node-for-node identity; coalitions compare as canonical sets."""
-    return a == b
+def truth_mask(
+    f: Formula, full: int, atom: Callable[[Formula], int], memo: dict[int, int]
+) -> int:
+    """Truth vector of ``f`` as a bitmask with one bit per row.
 
-
-def modal_depth(f: Formula) -> int:
-    """Maximal nesting of Necessity/Blame nodes."""
-    if isinstance(f, (Prop, Top, Bottom)):
-        return 0
+    ``full`` has every row's bit set; a row is a play for the model
+    checker and a truth-table row for the tautology checker.  The fold
+    computes Not, Implies, And, Or, Iff, Top and Bottom itself and asks
+    ``atom(node)`` for every Prop, Necessity and Blame node; ``atom`` may
+    fold a node's child through this function with the same memo.
+    Children are folded left to right, and each node object at most once
+    per memo.  ``memo`` maps ``id(node)`` to its vector, so the caller must
+    keep every node of ``f`` alive while the memo is in use.  Identity
+    keys cost nothing, where a structural key would pay the recursive
+    dataclass hash at every node.
+    """
+    m = memo.get(id(f))
+    if m is not None:
+        return m
     if isinstance(f, Not):
-        return modal_depth(f.child)
-    if isinstance(f, (Implies, And, Or, Iff)):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, Necessity):
-        return 1 + modal_depth(f.child)
-    if isinstance(f, Blame):
-        return 1 + modal_depth(f.child)
-    raise TypeError(f"not a formula: {f!r}")
+        m = ~truth_mask(f.child, full, atom, memo) & full
+    elif isinstance(f, Implies):
+        m = (~truth_mask(f.left, full, atom, memo) | truth_mask(f.right, full, atom, memo)) & full
+    elif isinstance(f, And):
+        m = truth_mask(f.left, full, atom, memo) & truth_mask(f.right, full, atom, memo)
+    elif isinstance(f, Or):
+        m = truth_mask(f.left, full, atom, memo) | truth_mask(f.right, full, atom, memo)
+    elif isinstance(f, Iff):
+        m = ~(truth_mask(f.left, full, atom, memo) ^ truth_mask(f.right, full, atom, memo)) & full
+    elif isinstance(f, Top):
+        m = full
+    elif isinstance(f, Bottom):
+        m = 0
+    elif isinstance(f, (Prop, Necessity, Blame)):
+        m = atom(f)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    memo[id(f)] = m
+    return m
 
 
-def agents_mentioned(f: Formula) -> set[str]:
-    """Union of all Blame coalitions in the tree."""
-    out: set[str] = set()
+def blame_nodes(f: Formula) -> Iterator[Blame]:
+    """Every Blame node in the tree, each before the nodes below it."""
     stack = [f]
     while stack:
         node = stack.pop()
@@ -189,6 +213,10 @@ def agents_mentioned(f: Formula) -> set[str]:
             stack.append(node.left)
             stack.append(node.right)
         elif isinstance(node, Blame):
-            out.update(node.coalition)
+            yield node
             stack.append(node.child)
-    return out
+
+
+def agents_mentioned(f: Formula) -> set[str]:
+    """Union of all Blame coalitions in the tree."""
+    return {a for node in blame_nodes(f) for a in node.coalition}

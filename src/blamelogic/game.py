@@ -22,7 +22,6 @@ __all__ = [
     "GameFormatError",
     "GameValidationError",
     "validate",
-    "agrees",
     "load",
     "save",
 ]
@@ -85,14 +84,6 @@ class Strategy:
         object.__setattr__(self, "choice", dict(self.choice))
         if set(self.choice) != set(self.coalition.members):
             raise ValueError("strategy domain must equal the coalition")
-
-
-def agrees(s: Strategy, p: Play) -> bool:
-    """True when the play's profile matches the strategy on every member.
-
-    Vacuously true for the empty coalition.
-    """
-    return all(p.profile.get(a) == s.choice[a] for a in s.coalition)
 
 
 def validate(g: Game) -> list[str]:

@@ -36,6 +36,7 @@ from .formula import (
     Or,
     Prop,
     Top,
+    possibly,
 )
 
 __all__ = ["ParseError", "parse", "format_formula"]
@@ -185,7 +186,7 @@ class _Parser:
             return Necessity(self.unary())
         if kind == "POSS":
             self._next()
-            return Not(Necessity(Not(self.unary())))
+            return possibly(self.unary())
         if kind == "BLAME":
             self._next()
             self._expect("LBRACE", "'{'")

@@ -19,17 +19,14 @@ from typing import Callable, Mapping
 from .formula import (
     And,
     Blame,
-    Bottom,
     Coalition,
     Formula,
-    Iff,
     Implies,
     Necessity,
     Not,
     Or,
-    Prop,
-    Top,
     possibly,
+    truth_mask,
 )
 from .parser import ParseError, format_formula, parse
 
@@ -151,54 +148,37 @@ def instantiate_schema(schema: Schema | str, subst: Mapping[str, object]) -> For
     for var in bound:
         if var not in schema.metavars:
             raise InstantiationError(f"{schema.name}: extra metavariable {var!r}")
-    args = []
     for var in schema.metavars:
         value = bound[var]
         if var in ("phi", "psi"):
             if not isinstance(value, Formula):
                 raise InstantiationError(f"{schema.name}: {var} must be a formula")
-        else:
-            if not isinstance(value, Coalition):
-                value = Coalition(value)  # accept any iterable of agent ids
-        args.append(value)
+        elif not isinstance(value, Coalition):
+            bound[var] = Coalition(value)  # accept any iterable of agent ids
     if schema.side_condition == "disjoint(C,D)":
-        c, d = bound["C"], bound["D"]
-        c = c if isinstance(c, Coalition) else Coalition(c)
-        d = d if isinstance(d, Coalition) else Coalition(d)
-        if not c.isdisjoint(d):
+        if not bound["C"].isdisjoint(bound["D"]):
             raise InstantiationError(
                 f"{schema.name}: side condition violated, C and D overlap"
             )
     elif schema.side_condition == "subset(C,D)":
-        c, d = bound["C"], bound["D"]
-        c = c if isinstance(c, Coalition) else Coalition(c)
-        d = d if isinstance(d, Coalition) else Coalition(d)
-        if not c.issubset(d):
+        if not bound["C"].issubset(bound["D"]):
             raise InstantiationError(
                 f"{schema.name}: side condition violated, C is not a subset of D"
             )
-    return schema.build(*args)
-
-
-def _collect_atoms(f: Formula, order: dict[Formula, int]) -> None:
-    # Modal-rooted subformulas are opaque atoms; only the propositional
-    # skeleton is decomposed.
-    if isinstance(f, (Prop, Necessity, Blame)):
-        if f not in order:
-            order[f] = len(order)
-    elif isinstance(f, Not):
-        _collect_atoms(f.child, order)
-    elif isinstance(f, (Implies, And, Or, Iff)):
-        _collect_atoms(f.left, order)
-        _collect_atoms(f.right, order)
-    elif not isinstance(f, (Top, Bottom)):
-        raise TypeError(f"not a formula: {f!r}")
+    return schema.build(*(bound[var] for var in schema.metavars))
 
 
 def is_tautology(f: Formula) -> bool:
     """Truth-table validity over the propositional skeleton."""
+    # Modal-rooted subformulas are opaque atoms, numbered by a first fold
+    # over no rows in the order it meets them.
     order: dict[Formula, int] = {}
-    _collect_atoms(f, order)
+
+    def number(atom: Formula) -> int:
+        order.setdefault(atom, len(order))
+        return 0
+
+    truth_mask(f, 0, number, {})
     if len(order) > MAX_TAUTOLOGY_ATOMS:
         raise AtomLimitError(
             f"atom-count overflow: {len(order)} distinct atoms, limit {MAX_TAUTOLOGY_ATOMS}"
@@ -210,27 +190,7 @@ def is_tautology(f: Formula) -> bool:
         # Rows where bit i of the row index is set, as one big bitmask.
         block = 1 << (1 << i)
         masks[atom] = full // (block + 1) * block
-    return _table(f, masks, full) == full
-
-
-def _table(f: Formula, masks: dict[Formula, int], full: int) -> int:
-    if isinstance(f, (Prop, Necessity, Blame)):
-        return masks[f]
-    if isinstance(f, Top):
-        return full
-    if isinstance(f, Bottom):
-        return 0
-    if isinstance(f, Not):
-        return ~_table(f.child, masks, full) & full
-    if isinstance(f, Implies):
-        return (~_table(f.left, masks, full) | _table(f.right, masks, full)) & full
-    if isinstance(f, And):
-        return _table(f.left, masks, full) & _table(f.right, masks, full)
-    if isinstance(f, Or):
-        return _table(f.left, masks, full) | _table(f.right, masks, full)
-    if isinstance(f, Iff):
-        return ~(_table(f.left, masks, full) ^ _table(f.right, masks, full)) & full
-    raise TypeError(f"not a formula: {f!r}")
+    return truth_mask(f, full, masks.__getitem__, {}) == full
 
 
 @dataclass(frozen=True)
@@ -337,6 +297,12 @@ def _parse_formula(text: object, where: str) -> Formula:
         raise ProofFormatError(f"{where}: {e}") from e
 
 
+def _reject_unknown_keys(obj: dict, known: set[str], where: str) -> None:
+    unknown = set(obj) - known
+    if unknown:
+        raise ProofFormatError(f"{where}: unknown keys {sorted(unknown)}")
+
+
 def load_proof(document: bytes | str) -> Proof:
     """Parse a proof script; formulas use the concrete grammar, lines are 1-based."""
     if isinstance(document, bytes):
@@ -347,6 +313,7 @@ def load_proof(document: bytes | str) -> Proof:
         raise ProofFormatError(f"bad JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     if not isinstance(doc, dict) or not {"hypotheses", "claim", "lines"} <= set(doc):
         raise ProofFormatError("script must have hypotheses, claim, and lines")
+    _reject_unknown_keys(doc, {"hypotheses", "claim", "lines"}, "script")
     raw_hyps = doc["hypotheses"]
     if not isinstance(raw_hyps, list):
         raise ProofFormatError("hypotheses must be a list")
@@ -362,10 +329,14 @@ def load_proof(document: bytes | str) -> Proof:
         where = f"line {i + 1}"
         if not isinstance(entry, dict) or "formula" not in entry or "just" not in entry:
             raise ProofFormatError(f"{where}: must have formula and just")
+        _reject_unknown_keys(entry, {"formula", "just"}, where)
         formula = _parse_formula(entry["formula"], where)
         raw_just = entry["just"]
-        if not isinstance(raw_just, dict) or "kind" not in raw_just:
-            raise ProofFormatError(f"{where}: just must be an object with a kind")
+        if not isinstance(raw_just, dict) or not isinstance(raw_just.get("kind"), str):
+            raise ProofFormatError(f"{where}: just must be an object with a string kind")
+        _reject_unknown_keys(raw_just, {"kind", "from", "name", "subst"}, f"{where} just")
+        if "name" in raw_just and not isinstance(raw_just["name"], str):
+            raise ProofFormatError(f"{where}: just name must be a string")
         kind = raw_just["kind"]
         refs = raw_just.get("from", [])
         if not isinstance(refs, list) or not all(

@@ -117,6 +117,8 @@ class TestErrors:
             satisfies(lopez, 7, parse("dead"))
         with pytest.raises(IndexError):
             blamable_coalitions(lopez, -1, parse("dead"))
+        with pytest.raises(IndexError, match="play index True out of range"):
+            satisfies(lopez, True, parse("dead"))
 
     def test_unknown_agents_rejected(self, lopez):
         with pytest.raises(ValueError, match="agents not in the game: \\['ghost'\\]"):
@@ -139,6 +141,31 @@ class TestErrors:
         with pytest.raises(StrategySpaceError):
             evaluate_all(g, f, cap=1000)
         assert satisfies(g, 0, f, cap=DEFAULT_STRATEGY_CAP) is True
+
+    @pytest.mark.parametrize(
+        "text", ["B{ghost} p & B{a,b} p", "B{a,b} p & B{ghost} p", "B{a,b} B{ghost} p"]
+    )
+    def test_unknown_agent_reported_before_cap(self, text):
+        g = two_agent_game()
+        for route in (lambda f: satisfies(g, 0, f, cap=3), lambda f: evaluate_all(g, f, cap=3)):
+            with pytest.raises(ValueError, match="agents not in the game: \\['ghost'\\]"):
+                route(parse(text))
+
+    def test_witness_coalition_cap_reported_before_formula(self):
+        g = Game(
+            ("a", "b", "c"),
+            ("zero", "one"),
+            ("w",),
+            (Play({"a": "one", "b": "one", "c": "one"}, "w"),),
+            {"p": frozenset({0})},
+        )
+        f = parse("p & B{b,c} p")
+        with pytest.raises(StrategySpaceError) as exc:
+            blame_witness(g, 0, Coalition(["a", "b"]), f, cap=3)
+        assert exc.value.coalition == Coalition(["a", "b"])
+        with pytest.raises(StrategySpaceError) as exc:
+            blame_witness(g, 0, Coalition(["a"]), f, cap=3)
+        assert exc.value.coalition == Coalition(["b", "c"])
 
     def test_cap_checked_even_on_false_branch(self, lopez):
         # the naive route could skip the oversized B node when dead is false

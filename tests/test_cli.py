@@ -1,5 +1,8 @@
 import importlib.metadata
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,6 +166,25 @@ class TestProof:
         assert code == 2
         assert err.startswith("error: bad JSON")
 
+    @pytest.mark.parametrize(
+        "top, line, just, message",
+        [
+            ({}, {}, {"kind": "axiom", "name": []}, "line 1: just name must be a string"),
+            ({}, {}, {"kind": ["taut"]}, "line 1: just must be an object with a string kind"),
+            ({"note": 1}, {}, {"kind": "taut"}, "script: unknown keys ['note']"),
+            ({}, {"why": "x"}, {"kind": "taut"}, "line 1: unknown keys ['why']"),
+            ({}, {}, {"kind": "taut", "refs": [1]}, "line 1 just: unknown keys ['refs']"),
+        ],
+        ids=["name-not-string", "kind-not-string", "script-key", "line-key", "just-key"],
+    )
+    def test_misshapen_script(self, capsys, tmp_path, top, line, just, message):
+        doc = {"hypotheses": [], "claim": "p | !p", **top}
+        doc["lines"] = [{"formula": "p | !p", "just": just, **line}]
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "proof", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestFuzz:
     def test_small_sweep(self, capsys):
@@ -192,6 +214,29 @@ class TestFmt:
         code, out, err = run(capsys, "fmt", "--formula", "p <-> q <-> r")
         assert code == 2
         assert out == ""
+
+
+def test_deep_nesting_is_an_input_error(capsys, lopez_file):
+    deep = "(" * 200 + "dead" + ")" * 200
+    for argv in (
+        ["fmt", "--formula", deep],
+        ["check", "--game", str(lopez_file), "--play", "0", "--formula", deep],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+
+
+def test_module_runs_as_script():
+    src = str(Path(blamelogic.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "blamelogic.cli", "fmt", "--formula", "((p))"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "p\n", "")
 
 
 class TestHarnessGlue:

@@ -15,11 +15,9 @@ from blamelogic import (
     Prop,
     Top,
     agents_mentioned,
-    modal_depth,
     possibly,
-    syntactic_eq,
 )
-from blamelogic.formula import Bottom, check_ident, is_ident
+from blamelogic.formula import Bottom, check_ident, is_ident, truth_mask
 
 IDENT = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True).filter(
     lambda s: s not in ("true", "false")
@@ -100,22 +98,33 @@ class TestNodes:
     def test_possibly_is_stored_desugared(self):
         assert possibly(Prop("p")) == Not(Necessity(Not(Prop("p"))))
 
-    def test_syntactic_eq_distinguishes_connectives(self):
+    def test_equality_distinguishes_connectives(self):
         p, q = Prop("p"), Prop("q")
-        assert syntactic_eq(And(p, q), And(p, q))
-        assert not syntactic_eq(And(p, q), And(q, p))
-        assert not syntactic_eq(And(p, q), Or(p, q))
-        assert not syntactic_eq(Iff(p, q), Implies(p, q))
+        assert And(p, q) == And(p, q)
+        assert And(p, q) != And(q, p)
+        assert And(p, q) != Or(p, q)
+        assert Iff(p, q) != Implies(p, q)
 
 
-def test_modal_depth():
-    p = Prop("p")
-    assert modal_depth(p) == 0
-    assert modal_depth(And(p, Bottom())) == 0
-    assert modal_depth(Necessity(p)) == 1
-    assert modal_depth(Blame(["a"], Necessity(p))) == 2
-    assert modal_depth(Implies(Necessity(Necessity(p)), Blame([], p))) == 2
-    assert modal_depth(possibly(p)) == 1
+def test_truth_mask_folds_connectives_and_asks_atom_for_the_rest():
+    p, q, n, b = Prop("p"), Prop("q"), Necessity(Prop("p")), Blame(["a"], Prop("q"))
+    vectors = {p: 0b0011, q: 0b0101, n: 0b1000, b: 0b0001}
+    asked = []
+
+    def atom(node):
+        asked.append(node)
+        return vectors[node]
+
+    f = Iff(And(p, Not(q)), Or(n, Implies(Top(), Or(b, Bottom()))))
+    memo = {}
+    # p & !q = 0010, N p | (true -> B q | false) = 1001, iff = !(0010 ^ 1001)
+    assert truth_mask(f, 0b1111, atom, memo) == 0b0100
+    assert asked == [p, q, n, b]
+    # memoised by node identity: a second fold asks nothing
+    assert truth_mask(f, 0b1111, atom, memo) == 0b0100
+    assert len(asked) == 4
+    with pytest.raises(TypeError, match="not a formula"):
+        truth_mask(And(p, "q"), 0b1111, atom, {})
 
 
 def test_agents_mentioned():

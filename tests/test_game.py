@@ -10,7 +10,6 @@ from blamelogic import (
     GameValidationError,
     Play,
     Strategy,
-    agrees,
     load,
     save,
     validate,
@@ -139,21 +138,6 @@ class TestStrategy:
             Strategy(Coalition(["a", "b"]), {"a": "x"})
         with pytest.raises(ValueError, match="domain must equal"):
             Strategy(Coalition(["a"]), {"a": "x", "b": "x"})
-
-    def test_agrees(self):
-        play = Play({"a": "x", "b": "y"}, "w")
-        assert agrees(Strategy(["a"], {"a": "x"}), play)
-        assert not agrees(Strategy(["a"], {"a": "y"}), play)
-        assert agrees(Strategy(["a", "b"], {"a": "x", "b": "y"}), play)
-        assert agrees(Strategy([], {}), play)
-
-    def test_agrees_monotone_in_coalition(self):
-        # restricting a strategy to a subcoalition can only keep agreement
-        play = Play({"a": "x", "b": "y", "c": "x"}, "w")
-        full = Strategy(["a", "b", "c"], {"a": "x", "b": "y", "c": "z"})
-        for members in (["a"], ["b"], ["a", "b"], []):
-            sub = Strategy(members, {a: full.choice[a] for a in members})
-            assert not agrees(full, play) or agrees(sub, play)
 
 
 games_strategy = st.builds(
