@@ -4,10 +4,10 @@ Two routes compute truth values.  ``satisfies`` is the literal recursive
 definition: N re-scans every play, and B enumerates the coalition's
 strategies one by one.  ``evaluate_all`` computes whole truth vectors as
 bitmasks through ``truth_mask``, memoised per node of the formula tree;
-for a B node it never enumerates strategies, since a strategy fails to
-prevent the child formula exactly when some child-satisfying play pins
-it down.  The two routes must agree bit for bit, so ``satisfies`` stays
-deliberately naive as an oracle.
+for a B node it ANDs per-(agent, action) play masks into the child's
+vector member by member and stops at the first strategy prefix that no
+child-satisfying play agrees with.  The two routes must agree bit for
+bit, so ``satisfies`` stays deliberately naive as an oracle.
 
 Both routes pre-check every B node in the formula, in one walk, for
 agents the game lacks and then against the strategy enumeration cap, so
@@ -33,6 +33,7 @@ from .formula import (
     Prop,
     Top,
     blame_nodes,
+    check_ident,
     truth_mask,
 )
 from .game import Game, Strategy
@@ -175,11 +176,12 @@ def evaluate_all(g: Game, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> Eva
     return EvalTable(f, tuple(bool(mask >> i & 1) for i in range(len(g.plays))))
 
 
-def _mask(g: Game, f: Formula) -> int:
+def _mask(g: Game, f: Formula, masks: list[list[int]] | None = None) -> int:
     full = (1 << len(g.plays)) - 1
     memo: dict[int, int] = {}
 
     def atom(node: Formula) -> int:
+        nonlocal masks
         if isinstance(node, Prop):
             m = 0
             for i in g.valuation.get(node.name, frozenset()):
@@ -189,50 +191,73 @@ def _mask(g: Game, f: Formula) -> int:
         if isinstance(node, Necessity):
             return full if child == full else 0
         # The prevention condition does not depend on the play, so the
-        # B node's vector is the child's vector or all-false.
-        return child if _has_preventer(g, node.coalition, child) else 0
+        # B node's vector is the child's vector or all-false.  Each play
+        # agrees with exactly one of the coalition's strategies, so fewer
+        # child plays than strategies leave one unblocked without a search.
+        order = _positions(g, node.coalition)
+        if child.bit_count() < len(g.actions) ** len(order):
+            return child
+        if masks is None:
+            masks = _action_masks(g)
+        return child if _first_preventer(masks, order, child) is not None else 0
 
     return truth_mask(f, full, atom, memo)
 
 
-def _blocked_codes(g: Game, members: tuple[str, ...], child_mask: int) -> set[int]:
-    """Strategy codes pinned down by some child-satisfying play.
-
-    A code is the coalition's action choice read as a base-|actions|
-    numeral, most significant digit first in game agent order, so numeric
-    order is lexicographic order.
-    """
-    base = len(g.actions)
+def _action_masks(g: Game) -> list[list[int]]:
+    """Per agent position and action index, the plays where that agent takes that action."""
     index = {x: k for k, x in enumerate(g.actions)}
-    blocked: set[int] = set()
+    masks = [[0] * len(g.actions) for _ in g.agents]
     for j, play in enumerate(g.plays):
-        if child_mask >> j & 1:
-            code = 0
-            for a in members:
-                code = code * base + index[play.profile[a]]
-            blocked.add(code)
-    return blocked
+        bit = 1 << j
+        for row, a in zip(masks, g.agents):
+            row[index[play.profile[a]]] |= bit
+    return masks
 
 
-def _has_preventer(g: Game, coalition: Coalition, child_mask: int) -> bool:
-    members = tuple(a for a in g.agents if a in coalition)
-    return len(_blocked_codes(g, members, child_mask)) < _space(g, coalition)
+def _positions(g: Game, coalition: Coalition) -> tuple[int, ...]:
+    return tuple(k for k, a in enumerate(g.agents) if a in coalition)
 
 
-def _witness(g: Game, coalition: Coalition, child_mask: int) -> Strategy | None:
-    """Lexicographically first preventing strategy, or None."""
-    members = tuple(a for a in g.agents if a in coalition)
-    blocked = _blocked_codes(g, members, child_mask)
-    if len(blocked) >= _space(g, coalition):
-        return None
-    code = next(c for c in range(len(blocked) + 1) if c not in blocked)
-    base = len(g.actions)
-    digits: list[int] = []
-    for _ in members:
-        digits.append(code % base)
-        code //= base
-    digits.reverse()
-    return Strategy(coalition, {a: g.actions[d] for a, d in zip(members, digits)})
+def _first_preventer(
+    masks: list[list[int]], order: tuple[int, ...], child: int
+) -> tuple[int, ...] | None:
+    """Lexicographically first preventing strategy, as action indices, or None.
+
+    ``order`` lists the members' agent positions in game agent order.  A
+    strategy prevents the child when no child-satisfying play agrees with
+    it, that is when the AND of the child vector with the members' action
+    masks is 0.  Members are fixed first to last, actions tried in index
+    order; once the AND of a prefix is 0 every extension prevents, and the
+    least of them pads the prefix with action 0.  The descent is a loop,
+    not recursion, because with one action the cap never limits how many
+    members it may have to go through.
+    """
+    rows = [masks[k] for k in order]
+    choice: list[int] = []
+    live = [child]  # live[d]: child ANDed with the masks of choice[:d]
+    while live[-1]:
+        if len(choice) < len(rows):
+            choice.append(0)
+        else:
+            # Every play left agrees with this whole strategy: take the
+            # next action at the deepest member that has one.
+            while choice and choice[-1] + 1 == len(rows[len(choice) - 1]):
+                choice.pop()
+                live.pop()
+            if not choice:
+                return None
+            choice[-1] += 1
+            live.pop()
+        live.append(live[-1] & rows[len(choice) - 1][choice[-1]])
+    return (*choice, *(0,) * (len(rows) - len(choice)))
+
+
+def _strategy(
+    g: Game, coalition: Coalition, order: tuple[int, ...], choice: tuple[int, ...]
+) -> Strategy:
+    agents = map(g.agents.__getitem__, order)
+    return Strategy(coalition, dict(zip(agents, map(g.actions.__getitem__, choice))))
 
 
 def blame_witness(
@@ -243,13 +268,20 @@ def blame_witness(
     *,
     cap: int = DEFAULT_STRATEGY_CAP,
 ) -> Strategy | None:
-    """A preventing strategy for the coalition, when it is blamable here."""
+    """A preventing strategy for the coalition, when it is blamable here.
+
+    The strategy is the lexicographically first one, with members in game
+    agent order and actions in listed order.
+    """
     _check_play_index(g, play_index)
     _precheck(g, f, cap, extra=coalition)
-    child = _mask(g, f)
+    masks = _action_masks(g)
+    child = _mask(g, f, masks)
     if not child >> play_index & 1:
         return None
-    return _witness(g, coalition, child)
+    order = _positions(g, coalition)
+    choice = _first_preventer(masks, order, child)
+    return None if choice is None else _strategy(g, coalition, order, choice)
 
 
 def blamable_coalitions(
@@ -264,6 +296,11 @@ def blamable_coalitions(
 
     Entries are ordered by size then members; inclusion-minimal ones are
     flagged.  The formula failing at the play gives an empty report.
+
+    Blamability is upward closed: a strategy that prevents the formula
+    extends to one for any superset.  So nothing is blamable when the
+    grand coalition is not, and a blamable coalition is minimal exactly
+    when no coalition one member smaller is blamable.
     """
     if max_size is None:
         max_size = len(g.agents)
@@ -276,21 +313,32 @@ def blamable_coalitions(
         if space > cap:
             raise StrategySpaceError(Coalition(sorted(g.agents)[:size]), space, cap)
 
-    child = _mask(g, f)
-    found: list[tuple[Coalition, Strategy]] = []
-    if child >> play_index & 1:
+    masks = _action_masks(g)
+    child = _mask(g, f, masks)
+    entries: list[BlameEntry] = []
+    if max_size and child >> play_index & 1:
+        # Each agent as (id, game position, bit); a coalition's bits sum
+        # to the key it is stored under in ``blamable``.
+        agents = sorted((a, k, 1 << k) for k, a in enumerate(g.agents))
+        for a, _, _ in agents:
+            check_ident(a, "agent id")
+        if _first_preventer(masks, tuple(range(len(g.agents))), child) is None:
+            return BlameReport(play_index, f, max_size, ())
+        blamable: set[int] = set()
         for size in range(1, max_size + 1):
-            for members in combinations(sorted(g.agents), size):
-                coalition = Coalition(members)
-                witness = _witness(g, coalition, child)
-                if witness is not None:
-                    found.append((coalition, witness))
-    member_sets = [set(c.members) for c, _ in found]
-    entries = tuple(
-        BlameEntry(c, w, minimal=not any(o < s for o in member_sets))
-        for (c, w), s in zip(found, member_sets)
-    )
-    return BlameReport(play_index, f, max_size, entries)
+            for picked in combinations(agents, size):
+                members, spots, weights = zip(*picked)
+                order = tuple(sorted(spots))
+                choice = _first_preventer(masks, order, child)
+                if choice is None:
+                    continue
+                bits = sum(weights)
+                blamable.add(bits)
+                coalition = Coalition._canonical(members)
+                minimal = blamable.isdisjoint([bits ^ w for w in weights])
+                witness = _strategy(g, coalition, order, choice)
+                entries.append(BlameEntry(coalition, witness, minimal))
+    return BlameReport(play_index, f, max_size, tuple(entries))
 
 
 def valid_in_game(g: Game, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> int | None:

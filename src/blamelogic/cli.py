@@ -130,7 +130,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True, metavar="FILE")
     p.add_argument("--play", required=True, type=int, metavar="INDEX")
     p.add_argument("--formula", required=True, metavar="TEXT")
-    p.add_argument("--max-size", type=int, default=None, metavar="K")
+    p.add_argument(
+        "--max-size",
+        type=int,
+        default=None,
+        metavar="K",
+        help="largest coalition size to report (default: every agent)",
+    )
     p.set_defaults(func=_cmd_blame)
 
     p = sub.add_parser("proof", help="check a proof script")

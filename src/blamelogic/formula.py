@@ -66,6 +66,13 @@ class Coalition:
         canon = tuple(sorted({check_ident(a, "agent id") for a in members}))
         object.__setattr__(self, "members", canon)
 
+    @classmethod
+    def _canonical(cls, members: tuple[str, ...]) -> "Coalition":
+        """Wrap members that are already sorted, deduplicated and checked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "members", members)
+        return c
+
     def __iter__(self):
         return iter(self.members)
 

@@ -154,6 +154,8 @@ def load(document: bytes | str) -> Game:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
         raise GameFormatError(f"bad JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise GameFormatError("document nested too deeply") from e
     if not isinstance(doc, dict):
         raise GameFormatError("top level must be an object")
     required = ("agents", "actions", "outcomes", "plays", "valuation")

@@ -238,6 +238,11 @@ def soundness_sweep(
     ``evaluate_all_fn`` exists so tests can aim the sweep at a broken
     evaluator and watch it object.
     """
+    if games < 0 or instances_per_schema < 0:
+        raise ValueError(
+            f"games ({games}) and instances_per_schema ({instances_per_schema})"
+            " must not be negative"
+        )
     evaluate = evaluate_all_fn or checker.evaluate_all
     schema_names = sorted(SCHEMAS)
     totals = {name: 0 for name in schema_names}

@@ -311,6 +311,8 @@ def load_proof(document: bytes | str) -> Proof:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
         raise ProofFormatError(f"bad JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ProofFormatError("document nested too deeply") from e
     if not isinstance(doc, dict) or not {"hypotheses", "claim", "lines"} <= set(doc):
         raise ProofFormatError("script must have hypotheses, claim, and lines")
     _reject_unknown_keys(doc, {"hypotheses", "claim", "lines"}, "script")

@@ -17,6 +17,7 @@ from blamelogic import (
     valid_in_game,
 )
 from blamelogic.checker import DEFAULT_STRATEGY_CAP
+from blamelogic.generate import GenParams, SplitMix64, corpus_games, random_formula
 
 
 def eval_text(game, text):
@@ -242,3 +243,74 @@ def test_routes_agree_on_handwritten_corners(lopez):
         f = parse(text)
         table = evaluate_all(lopez, f)
         assert table.truth == tuple(satisfies(lopez, i, f) for i in range(3))
+
+
+def reference_blame(g, play, f, max_size):
+    """(members, witness choice, minimal) per blamable coalition, from the definitions.
+
+    Blamability is the oracle's, the witness is the first strategy in a
+    brute-force product over the members in game agent order that no
+    play satisfying f agrees with, and minimality is the pairwise
+    proper-subset test.
+    """
+    holds = [satisfies(g, j, f) for j in range(len(g.plays))]
+    found = []
+    for size in range(1, max_size + 1):
+        for members in itertools.combinations(sorted(g.agents), size):
+            if not satisfies(g, play, Blame(members, f)):
+                continue
+            ordered = [a for a in g.agents if a in members]
+            witness = next(
+                dict(zip(ordered, combo))
+                for combo in itertools.product(g.actions, repeat=len(ordered))
+                if not any(
+                    h and all(p.profile[a] == x for a, x in zip(ordered, combo))
+                    for p, h in zip(g.plays, holds)
+                )
+            )
+            found.append((members, witness))
+    return [(m, w, not any(set(o) < set(m) for o, _ in found)) for m, w in found]
+
+
+def splitmix_game(rng, n_agents, n_actions, n_plays):
+    agents = tuple(f"g{k}" for k in range(n_agents))
+    actions = tuple(f"x{k}" for k in range(n_actions))
+    plays = tuple(
+        Play({a: actions[rng.below(n_actions)] for a in agents}, f"o{j}") for j in range(n_plays)
+    )
+    val = {name: frozenset(j for j in range(n_plays) if rng.below(3)) for name in ("p0", "p1")}
+    return Game(agents, actions, tuple(f"o{j}" for j in range(n_plays)), plays, val)
+
+
+def test_blame_search_matches_the_definitions():
+    rng = SplitMix64(20261018)
+    params = GenParams(seed=rng.next64(), n_agents=4, n_actions=3, n_plays=12, formula_depth=3)
+    games = corpus_games(params, 12)
+    games += [splitmix_game(rng, 6, 2, 10), splitmix_game(rng, 5, 3, 14)]
+    false_plays = 0
+    for g in games:
+        formulas = [parse("p0"), parse("p0 | p1")]
+        formulas.append(random_formula(GenParams(seed=rng.next64(), formula_depth=3), g))
+        for f in formulas:
+            for play in range(len(g.plays)):
+                false_plays += not satisfies(g, play, f)
+                max_size = rng.below(len(g.agents) + 1)
+                report = blamable_coalitions(g, play, f, max_size)
+                got = [(e.coalition.members, e.witness.choice, e.minimal) for e in report.entries]
+                assert got == reference_blame(g, play, f, max_size)
+                for members, choice, _ in got:
+                    assert blame_witness(g, play, Coalition(members), f).choice == choice
+    assert false_plays  # the empty report for a false formula is covered too
+
+
+def test_blame_search_one_action_many_agents():
+    # One action: every play agrees with every strategy, so the grand
+    # coalition cannot prevent p wherever p holds and the report is empty.
+    agents = tuple(f"g{k}" for k in range(12))
+    plays = tuple(Play({a: "x" for a in agents}, o) for o in ("w", "v"))
+    g = Game(agents, ("x",), ("w", "v"), plays, {"p": frozenset({0})})
+    for play, max_size in ((0, 12), (0, 3), (1, 12)):
+        report = blamable_coalitions(g, play, parse("p"), max_size)
+        assert report.entries == ()
+        assert [] == reference_blame(g, play, parse("p"), max_size)
+    assert blame_witness(g, 0, Coalition(agents), parse("p")) is None

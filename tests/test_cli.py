@@ -204,6 +204,14 @@ class TestFuzz:
         _, second, _ = run(capsys, "fuzz", "--seed", "11", "--games", "3")
         assert first == second
 
+    @pytest.mark.parametrize("flag", ["--games", "--instances"])
+    def test_negative_count_is_an_input_error(self, capsys, flag):
+        argv = ["fuzz", "--seed", "1", "--games", "1", "--instances", "1"]
+        argv[argv.index(flag) + 1] = "-1"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "must not be negative" in err
+
 
 class TestFmt:
     def test_canonicalizes(self, capsys):
@@ -224,6 +232,14 @@ def test_deep_nesting_is_an_input_error(capsys, lopez_file):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+
+
+def test_deeply_nested_document_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    for argv in (["proof", str(path)], ["valid", "--game", str(path), "--formula", "p"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: document nested too deeply\n")
 
 
 def test_module_runs_as_script():

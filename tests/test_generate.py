@@ -231,6 +231,11 @@ class TestSweep:
         assert a["extra_totals"]["empty_coalition"] == 75
         assert json.dumps(a)  # report must be JSON-ready as emitted by the CLI
 
+    @pytest.mark.parametrize("games, instances", [(-1, 1), (1, -1)])
+    def test_negative_counts_rejected(self, games, instances):
+        with pytest.raises(ValueError, match="must not be negative"):
+            soundness_sweep(GenParams(seed=1), games, instances)
+
     def test_pinned_games_join_the_corpus(self, lopez):
         params = GenParams(seed=2, formula_depth=3)
         report = soundness_sweep(params, 5, 2, pinned=[lopez])
