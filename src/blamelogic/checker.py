@@ -37,6 +37,7 @@ from .formula import (
     truth_mask,
 )
 from .game import Game, Strategy
+from .parser import format_formula
 
 __all__ = [
     "DEFAULT_STRATEGY_CAP",
@@ -87,8 +88,6 @@ class BlameReport:
     entries: tuple[BlameEntry, ...]
 
     def as_dict(self) -> dict:
-        from .parser import format_formula
-
         return {
             "play": self.play_index,
             "formula": format_formula(self.formula),

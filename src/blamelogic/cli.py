@@ -21,17 +21,10 @@ from .checker import (
     evaluate_all,
     valid_in_game,
 )
-from .game import GameFormatError, GameValidationError, load
+from .game import load
 from .generate import GenParams, soundness_sweep
-from .parser import ParseError, format_formula, parse
-from .proofs import (
-    BUNDLED_NAMES,
-    AtomLimitError,
-    ProofFormatError,
-    bundled_script,
-    check_proof,
-    load_proof,
-)
+from .parser import format_formula, parse
+from .proofs import BUNDLED_NAMES, bundled_script, check_proof, load_proof
 
 __all__ = ["main", "run"]
 
@@ -165,17 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        GameFormatError,
-        GameValidationError,
-        ProofFormatError,
-        StrategySpaceError,
-        AtomLimitError,
-        ValueError,
-        IndexError,
-        OSError,
-    ) as e:
+    except (ValueError, IndexError, OSError, StrategySpaceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

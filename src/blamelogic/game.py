@@ -143,19 +143,23 @@ def _expect_str_list(doc: dict, key: str) -> list[str]:
     return value
 
 
+def _read_json(document: bytes | str, error: type[ValueError]) -> object:
+    """Decode a UTF-8 JSON document, reporting every failure as `error`."""
+    try:
+        if isinstance(document, bytes):
+            document = document.decode("utf-8")
+        return json.loads(document)
+    except UnicodeDecodeError as e:
+        raise error(f"not UTF-8: {e}") from e
+    except json.JSONDecodeError as e:
+        raise error(f"bad JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise error("document nested too deeply") from e
+
+
 def load(document: bytes | str) -> Game:
     """Parse and validate a game document; raises on either failure."""
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise GameFormatError(f"not UTF-8: {e}") from e
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as e:
-        raise GameFormatError(f"bad JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    except RecursionError as e:
-        raise GameFormatError("document nested too deeply") from e
+    doc = _read_json(document, GameFormatError)
     if not isinstance(doc, dict):
         raise GameFormatError("top level must be an object")
     required = ("agents", "actions", "outcomes", "plays", "valuation")

@@ -8,10 +8,12 @@ Grammar, loosest binding first:
     disj    := conj ("|" conj)*             left-associative
     conj    := unary ("&" unary)*           left-associative
     unary   := "!" unary | "N" unary | "<N>" unary
-             | "B" "{" idlist? "}" unary | atom
-    atom    := "true" | "false" | ident | "(" formula ")"
+             | "B" "{" idlist? "}" unary
+             | "true" | "false" | ident | "(" formula ")"
     idlist  := ident ("," ident)*
 
+The four binary levels are stated once, in ``_BINARY``: the parser and
+the printer both read their precedence and grouping from that table.
 Identifiers start with a lowercase letter, so N and B never collide
 with them.  "<N> f" is input sugar for "!N !f"; the printer restores
 it whenever a subtree has exactly that shape.  Whitespace between
@@ -21,7 +23,7 @@ byte offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .formula import (
     And,
@@ -52,220 +54,138 @@ class ParseError(ValueError):
         self.found = found
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# The binary connectives, loosest first: token, node type, and the side
+# a chain of them grows on ("left", "right", or None: no chaining).  The
+# prefix operators and atoms bind at level _UNARY, tighter than all.
+_BINARY = (("<->", Iff, None), ("->", Implies, "right"), ("|", Or, "left"), ("&", And, "left"))
+_UNARY = len(_BINARY)
+_LEVELS = {node: (level, f" {op} ", grouping) for level, (op, node, grouping) in enumerate(_BINARY)}
+_PREFIX = {"!": Not, "N": Necessity, "<N>": possibly}
+_CONSTANTS = {"true": Top, "false": Bottom}
+
+# Groups: 1 a symbol, 2 an identifier or keyword, 3 a character that
+# starts no token (a lone "-" or "<" gets a hint at what was meant).
+_TOKEN = re.compile(r"\s*(?:(<->|->|<N>|[(){},!&|NB])|([a-z][A-Za-z0-9_]*)|(\S))")
+_LEX_EXPECTED = {"-": "'->'", "<": "'<->' or '<N>'"}
 
 
-_SINGLE = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "{": "LBRACE",
-    "}": "RBRACE",
-    ",": "COMMA",
-    "!": "BANG",
-    "&": "AMP",
-    "|": "PIPE",
-}
+def _lex(text: str) -> list[tuple[str, int]]:
+    """(token, offset) pairs, ending with ("", len(text)) for end of input."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 3:
+            ch = m[3]
+            raise ParseError(m.start(3), _LEX_EXPECTED.get(ch, "a token"), repr(ch))
+        tokens.append((m[group], m.start(group)))
+    tokens.append(("", len(text)))
+    return tokens
 
 
-def _lex(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SINGLE:
-            out.append(_Token(_SINGLE[ch], ch, i))
-            i += 1
-            continue
-        if ch == "-":
-            if text.startswith("->", i):
-                out.append(_Token("ARROW", "->", i))
-                i += 2
-                continue
-            raise ParseError(i, "'->'", repr(ch))
-        if ch == "<":
-            if text.startswith("<->", i):
-                out.append(_Token("IFF", "<->", i))
-                i += 3
-                continue
-            if text.startswith("<N>", i):
-                out.append(_Token("POSS", "<N>", i))
-                i += 3
-                continue
-            raise ParseError(i, "'<->' or '<N>'", repr(ch))
-        if ch == "N":
-            out.append(_Token("NEC", "N", i))
-            i += 1
-            continue
-        if ch == "B":
-            out.append(_Token("BLAME", "B", i))
-            i += 1
-            continue
-        if "a" <= ch <= "z":
-            j = i + 1
-            while j < n and (text[j].isascii() and (text[j].isalnum() or text[j] == "_")):
-                j += 1
-            word = text[i:j]
-            if word == "true":
-                out.append(_Token("TRUE", word, i))
-            elif word == "false":
-                out.append(_Token("FALSE", word, i))
-            else:
-                out.append(_Token("IDENT", word, i))
-            i = j
-            continue
-        raise ParseError(i, "a token", repr(ch))
-    out.append(_Token("EOF", "", n))
-    return out
+def _is_ident(token: str) -> bool:
+    return token[:1].islower() and token not in _CONSTANTS
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
+    def __init__(self, tokens: list[tuple[str, int]]) -> None:
         self._tokens = tokens
         self._pos = 0
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def _next(self) -> _Token:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
+    def _peek(self) -> str:
+        return self._tokens[self._pos][0]
 
     def _fail(self, expected: str) -> ParseError:
-        tok = self._peek()
-        found = "end of input" if tok.kind == "EOF" else repr(tok.text)
-        return ParseError(tok.pos, expected, found)
+        token, offset = self._tokens[self._pos]
+        return ParseError(offset, expected, repr(token) if token else "end of input")
 
-    def _expect(self, kind: str, expected: str) -> _Token:
-        if self._peek().kind != kind:
+    def _take(self, token: str, expected: str) -> None:
+        if self._peek() != token:
             raise self._fail(expected)
-        return self._next()
+        self._pos += 1
 
-    def formula(self) -> Formula:
-        left = self.impl()
-        if self._peek().kind == "IFF":
-            self._next()
-            left = Iff(left, self.impl())
-        return left
+    def _ident(self, expected: str) -> str:
+        token = self._peek()
+        if not _is_ident(token):
+            raise self._fail(expected)
+        self._pos += 1
+        return token
 
-    def impl(self) -> Formula:
-        left = self.disj()
-        if self._peek().kind == "ARROW":
-            self._next()
-            return Implies(left, self.impl())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self._peek().kind == "PIPE":
-            self._next()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.unary()
-        while self._peek().kind == "AMP":
-            self._next()
-            left = And(left, self.unary())
+    def binary(self, level: int) -> Formula:
+        if level == _UNARY:
+            return self.unary()
+        op, node, grouping = _BINARY[level]
+        left = self.binary(level + 1)
+        while self._peek() == op:
+            self._pos += 1
+            if grouping == "right":
+                return node(left, self.binary(level))
+            left = node(left, self.binary(level + 1))
+            if grouping is None:
+                break
         return left
 
     def unary(self) -> Formula:
-        kind = self._peek().kind
-        if kind == "BANG":
-            self._next()
-            return Not(self.unary())
-        if kind == "NEC":
-            self._next()
-            return Necessity(self.unary())
-        if kind == "POSS":
-            self._next()
-            return possibly(self.unary())
-        if kind == "BLAME":
-            self._next()
-            self._expect("LBRACE", "'{'")
+        token = self._peek()
+        self._pos += 1
+        if token in _PREFIX:
+            return _PREFIX[token](self.unary())
+        if token == "B":
+            self._take("{", "'{'")
             members: list[str] = []
-            if self._peek().kind == "IDENT":
-                members.append(self._next().text)
-                while self._peek().kind == "COMMA":
-                    self._next()
-                    members.append(self._expect("IDENT", "an agent id").text)
-            self._expect("RBRACE", "'}'")
+            if self._peek() != "}":
+                members.append(self._ident("'}'"))
+                while self._peek() == ",":
+                    self._pos += 1
+                    members.append(self._ident("an agent id"))
+            self._take("}", "'}'")
             return Blame(Coalition(members), self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind = self._peek().kind
-        if kind == "TRUE":
-            self._next()
-            return Top()
-        if kind == "FALSE":
-            self._next()
-            return Bottom()
-        if kind == "IDENT":
-            return Prop(self._next().text)
-        if kind == "LPAREN":
-            self._next()
-            inner = self.formula()
-            self._expect("RPAREN", "')'")
+        if token == "(":
+            inner = self.binary(0)
+            self._take(")", "')'")
             return inner
+        if token in _CONSTANTS:
+            return _CONSTANTS[token]()
+        if _is_ident(token):
+            return Prop(token)
+        self._pos -= 1
         raise self._fail("a formula")
 
 
 def parse(text: str) -> Formula:
     parser = _Parser(_lex(text))
-    result = parser.formula()
-    if parser._peek().kind != "EOF":
+    result = parser.binary(0)
+    if parser._peek():
         raise parser._fail("end of input")
     return result
 
 
-# Binding levels, loosest to tightest.  A node is parenthesized when its
-# own level is below what its context requires.
-_IFF, _IMPL, _DISJ, _CONJ, _UNARY, _ATOM = 1, 2, 3, 4, 5, 6
-
-
 def format_formula(f: Formula) -> str:
     """Canonical text with minimal parentheses; parse(format_formula(f)) == f."""
-    return _fmt(f, _IFF)
-
-
-def _wrap(text: str, level: int, required: int) -> str:
-    return f"({text})" if level < required else text
+    return _fmt(f, 0)
 
 
 def _fmt(f: Formula, required: int) -> str:
-    if isinstance(f, Not) and isinstance(f.child, Necessity) and isinstance(f.child.child, Not):
-        return _wrap("<N> " + _fmt(f.child.child.child, _UNARY), _UNARY, required)
+    """Text of f, parenthesized when it binds looser than level `required`."""
+    binary = _LEVELS.get(type(f))
+    if binary is not None:
+        level, op, grouping = binary
+        left = _fmt(f.left, level if grouping == "left" else level + 1)
+        text = left + op + _fmt(f.right, level if grouping == "right" else level + 1)
+        return f"({text})" if level < required else text
     if isinstance(f, Prop):
         return f.name
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Bottom):
         return "false"
-    if isinstance(f, Not):
-        return _wrap("!" + _fmt(f.child, _UNARY), _UNARY, required)
-    if isinstance(f, Necessity):
-        return _wrap("N " + _fmt(f.child, _UNARY), _UNARY, required)
-    if isinstance(f, Blame):
+    if isinstance(f, Not) and isinstance(f.child, Necessity) and isinstance(f.child.child, Not):
+        head, f = "<N> ", f.child.child
+    elif isinstance(f, Not):
+        head = "!"
+    elif isinstance(f, Necessity):
+        head = "N "
+    elif isinstance(f, Blame):
         head = "B{" + ",".join(f.coalition.members) + "} "
-        return _wrap(head + _fmt(f.child, _UNARY), _UNARY, required)
-    if isinstance(f, And):
-        text = _fmt(f.left, _CONJ) + " & " + _fmt(f.right, _UNARY)
-        return _wrap(text, _CONJ, required)
-    if isinstance(f, Or):
-        text = _fmt(f.left, _DISJ) + " | " + _fmt(f.right, _CONJ)
-        return _wrap(text, _DISJ, required)
-    if isinstance(f, Implies):
-        text = _fmt(f.left, _DISJ) + " -> " + _fmt(f.right, _IMPL)
-        return _wrap(text, _IMPL, required)
-    if isinstance(f, Iff):
-        text = _fmt(f.left, _IMPL) + " <-> " + _fmt(f.right, _IMPL)
-        return _wrap(text, _IFF, required)
-    raise TypeError(f"not a formula: {f!r}")
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return head + _fmt(f.child, _UNARY)

@@ -28,6 +28,7 @@ from .formula import (
     possibly,
     truth_mask,
 )
+from .game import _read_json
 from .parser import ParseError, format_formula, parse
 
 __all__ = [
@@ -305,14 +306,7 @@ def _reject_unknown_keys(obj: dict, known: set[str], where: str) -> None:
 
 def load_proof(document: bytes | str) -> Proof:
     """Parse a proof script; formulas use the concrete grammar, lines are 1-based."""
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as e:
-        raise ProofFormatError(f"bad JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    except RecursionError as e:
-        raise ProofFormatError("document nested too deeply") from e
+    doc = _read_json(document, ProofFormatError)
     if not isinstance(doc, dict) or not {"hypotheses", "claim", "lines"} <= set(doc):
         raise ProofFormatError("script must have hypotheses, claim, and lines")
     _reject_unknown_keys(doc, {"hypotheses", "claim", "lines"}, "script")

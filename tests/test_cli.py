@@ -144,6 +144,13 @@ class TestProof:
         code, out, err = run(capsys, "proof", str(path))
         assert (code, out, err) == (0, "ok\n", "")
 
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "proof", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not UTF-8: ")
+
     def test_failing_script_prints_line_and_reason(self, capsys, tmp_path):
         doc = {
             "hypotheses": ["p"],

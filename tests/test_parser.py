@@ -111,17 +111,32 @@ def test_rejects(text):
         parse(text)
 
 
-def test_error_carries_position_and_expectation():
-    with pytest.raises(ParseError) as exc:
-        parse("p & ")
-    err = exc.value
-    assert err.position == 4
-    assert err.found == "end of input"
-    assert "at offset 4" in str(err)
+# (text, position, expected, found): one row per place that raises ParseError
+ERRORS = [
+    ("-x", 0, "'->'", "'-'"),
+    ("<x", 0, "'<->' or '<N>'", "'<'"),
+    ("A", 0, "a token", "'A'"),
+    ("é", 0, "a token", "'é'"),
+    ("B p", 2, "'{'", "'p'"),
+    ("B{a,} p", 4, "an agent id", "'}'"),
+    ("B{true} p", 2, "'}'", "'true'"),
+    ("(p", 2, "')'", "end of input"),
+    ("p q", 2, "end of input", "'q'"),
+    ("", 0, "a formula", "end of input"),
+    ("p & ", 4, "a formula", "end of input"),
+    ("p <-> q <-> r", 8, "end of input", "'<->'"),
+    # the whole input is lexed before parsing, so '$' wins over 'q'
+    ("p q $", 4, "a token", "'$'"),
+]
 
+
+@pytest.mark.parametrize("text,position,expected,found", ERRORS, ids=[repr(e[0]) for e in ERRORS])
+def test_error_carries_position_and_expectation(text, position, expected, found):
     with pytest.raises(ParseError) as exc:
-        parse("p <-> q <-> r")
-    assert exc.value.position == 8
+        parse(text)
+    err = exc.value
+    assert (err.position, err.expected, err.found) == (position, expected, found)
+    assert str(err) == f"at offset {position}: expected {expected}, found {found}"
 
 
 def test_keywords_are_not_identifiers():

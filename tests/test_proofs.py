@@ -296,6 +296,10 @@ class TestScriptFormat:
                 )
             )
 
+    def test_non_utf8_is_a_format_error(self):
+        with pytest.raises(ProofFormatError, match="^not UTF-8: "):
+            load_proof(b"\xff\xfe")
+
     def test_parse_errors_are_wrapped(self):
         with pytest.raises(ProofFormatError, match="claim"):
             load_proof(json.dumps({"hypotheses": [], "claim": "p ->", "lines": []}))
