@@ -130,8 +130,21 @@ ERRORS = [
 ]
 
 
+def test_error_carries_position_and_expectation():
+    with pytest.raises(ParseError) as exc:
+        parse("p & ")
+    err = exc.value
+    assert err.position == 4
+    assert err.found == "end of input"
+    assert "at offset 4" in str(err)
+
+    with pytest.raises(ParseError) as exc:
+        parse("p <-> q <-> r")
+    assert exc.value.position == 8
+
+
 @pytest.mark.parametrize("text,position,expected,found", ERRORS, ids=[repr(e[0]) for e in ERRORS])
-def test_error_carries_position_and_expectation(text, position, expected, found):
+def test_every_error_site(text, position, expected, found):
     with pytest.raises(ParseError) as exc:
         parse(text)
     err = exc.value
