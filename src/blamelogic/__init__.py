@@ -12,6 +12,7 @@ from .checker import (
     DEFAULT_STRATEGY_CAP,
     BlameEntry,
     BlameReport,
+    CoalitionCountError,
     EvalTable,
     StrategySpaceError,
     blamable_coalitions,

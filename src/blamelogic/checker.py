@@ -9,15 +9,17 @@ vector member by member and stops at the first strategy prefix that no
 child-satisfying play agrees with.  The two routes must agree bit for
 bit, so ``satisfies`` stays deliberately naive as an oracle.
 
-Both routes pre-check every B node in the formula, in one walk, for
-agents the game lacks and then against the strategy enumeration cap, so
-they raise identical errors as well.
+Both routes pre-check every B node in the formula for agents the game
+lacks and then against the strategy enumeration cap, so they raise
+identical errors as well.  The root's facts settle the check at once;
+only a formula that fails it is walked, to find the error to report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from .formula import (
     And,
@@ -42,6 +44,7 @@ from .parser import format_formula
 __all__ = [
     "DEFAULT_STRATEGY_CAP",
     "StrategySpaceError",
+    "CoalitionCountError",
     "EvalTable",
     "BlameEntry",
     "BlameReport",
@@ -65,6 +68,10 @@ class StrategySpaceError(Exception):
         self.coalition = coalition
         self.size = size
         self.cap = cap
+
+
+class CoalitionCountError(ValueError):
+    """A blame search would try more coalitions than the enumeration cap."""
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,14 @@ def _space(g: Game, coalition: Coalition) -> int:
 
 def _precheck(g: Game, f: Formula, cap: int, extra: Coalition | None = None) -> None:
     # Check every B node up front so both evaluation routes fail alike,
-    # regardless of short-circuiting.  An unknown agent anywhere is
-    # reported before any strategy space over the cap.
+    # regardless of short-circuiting.  The walk reports an unknown agent
+    # anywhere before any strategy space over the cap.
+    if isinstance(f, Formula):
+        agents, widest = f.agents, f.widest
+        if extra is not None:
+            agents, widest = agents.union(extra), max(widest, len(extra))
+        if agents.issubset(g.agents) and len(g.actions) ** widest <= cap:
+            return
     coalitions = [node.coalition for node in blame_nodes(f)]
     if extra is not None:
         coalitions.insert(0, extra)
@@ -252,11 +265,9 @@ def _first_preventer(
     return (*choice, *(0,) * (len(rows) - len(choice)))
 
 
-def _strategy(
-    g: Game, coalition: Coalition, order: tuple[int, ...], choice: tuple[int, ...]
-) -> Strategy:
+def _choice(g: Game, order: tuple[int, ...], choice: tuple[int, ...]) -> dict[str, str]:
     agents = map(g.agents.__getitem__, order)
-    return Strategy(coalition, dict(zip(agents, map(g.actions.__getitem__, choice))))
+    return dict(zip(agents, map(g.actions.__getitem__, choice)))
 
 
 def blame_witness(
@@ -280,7 +291,7 @@ def blame_witness(
         return None
     order = _positions(g, coalition)
     choice = _first_preventer(masks, order, child)
-    return None if choice is None else _strategy(g, coalition, order, choice)
+    return None if choice is None else Strategy(coalition, _choice(g, order, choice))
 
 
 def blamable_coalitions(
@@ -300,6 +311,9 @@ def blamable_coalitions(
     extends to one for any superset.  So nothing is blamable when the
     grand coalition is not, and a blamable coalition is minimal exactly
     when no coalition one member smaller is blamable.
+
+    ``cap`` bounds each coalition's strategy space and, before the search
+    enumerates, the number of coalitions it would try.
     """
     if max_size is None:
         max_size = len(g.agents)
@@ -323,6 +337,11 @@ def blamable_coalitions(
             check_ident(a, "agent id")
         if _first_preventer(masks, tuple(range(len(g.agents))), child) is None:
             return BlameReport(play_index, f, max_size, ())
+        count = sum(comb(len(agents), size) for size in range(1, max_size + 1))
+        if count > cap:
+            raise CoalitionCountError(
+                f"{count} coalitions of up to {max_size} agents, over the cap {cap}"
+            )
         blamable: set[int] = set()
         for size in range(1, max_size + 1):
             for picked in combinations(agents, size):
@@ -335,7 +354,7 @@ def blamable_coalitions(
                 blamable.add(bits)
                 coalition = Coalition._canonical(members)
                 minimal = blamable.isdisjoint([bits ^ w for w in weights])
-                witness = _strategy(g, coalition, order, choice)
+                witness = Strategy._canonical(coalition, _choice(g, order, choice))
                 entries.append(BlameEntry(coalition, witness, minimal))
     return BlameReport(play_index, f, max_size, tuple(entries))
 

@@ -96,71 +96,127 @@ class Coalition:
 
 
 class Formula:
-    """Base marker; concrete node types are the dataclasses below."""
+    """Base of the node classes below: immutable values with ``__slots__``.
 
+    A node keeps two facts and then its fields in one private tuple,
+    ``_key``, and compares, hashes, pickles and copies by it; the fields
+    are read-only properties over it.  The facts are computed once, when
+    the node is built from its children's: ``agents``, the agents its B
+    nodes name, and ``widest``, the size of its largest B coalition (0
+    without one).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _key: tuple = (frozenset(), 0)
+    agents = property(lambda self: self._key[0])
+    widest = property(lambda self: self._key[1])
+
+    def __init_subclass__(cls) -> None:
+        # Each field becomes a read-only property over its place in _key.
+        for i, name in enumerate(cls.__dict__.get("_fields", ()), start=2):
+            setattr(cls, name, property(lambda self, i=i: self._key[i]))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{k}={v!r}" for k, v in zip(self._fields, self._key[2:])])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key[2:]
+
+
+_NO_AGENTS = Formula._key[0]
+
+
+class Prop(Formula):
+    __slots__ = ("_key",)
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self._key = (_NO_AGENTS, 0, check_ident(name, "proposition"))
+
+
+class Top(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Prop(Formula):
-    name: str
-
-    def __post_init__(self) -> None:
-        check_ident(self.name, "proposition")
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Necessity(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class Blame(Formula):
-    coalition: Coalition
-    child: Formula
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.coalition, Coalition):
-            object.__setattr__(self, "coalition", Coalition(self.coalition))
-
-
-@dataclass(frozen=True)
-class Top(Formula):
-    pass
-
-
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Unary(Formula):
+    __slots__ = ("_key",)
+    _fields = ("child",)
+
+    def __init__(self, child: Formula) -> None:
+        try:
+            key = child._key
+        except AttributeError:
+            raise TypeError(f"not a formula: {child!r}") from None
+        self._key = (key[0], key[1], child)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Necessity(_Unary):
+    __slots__ = ()
+
+
+class Blame(Formula):
+    __slots__ = ("_key",)
+    _fields = ("coalition", "child")
+
+    def __init__(self, coalition: Coalition | Iterable[str], child: Formula) -> None:
+        if not isinstance(coalition, Coalition):
+            coalition = Coalition(coalition)
+        try:
+            key = child._key
+        except AttributeError:
+            raise TypeError(f"not a formula: {child!r}") from None
+        members = coalition.members
+        widest = len(members) if len(members) > key[1] else key[1]
+        self._key = (key[0].union(members), widest, coalition, child)
+
+
+class _Binary(Formula):
+    __slots__ = ("_key",)
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        try:
+            lkey, rkey = left._key, right._key
+        except AttributeError:
+            bad = right if isinstance(left, Formula) else left
+            raise TypeError(f"not a formula: {bad!r}") from None
+        agents = lkey[0] | rkey[0] if rkey[0] and rkey[0] is not lkey[0] else lkey[0]
+        widest = lkey[1] if lkey[1] >= rkey[1] else rkey[1]
+        self._key = (agents, widest, left, right)
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
 
 
 def possibly(f: Formula) -> Formula:
@@ -182,48 +238,52 @@ def truth_mask(
     per memo.  ``memo`` maps ``id(node)`` to its vector, so the caller must
     keep every node of ``f`` alive while the memo is in use.  Identity
     keys cost nothing, where a structural key would pay the recursive
-    dataclass hash at every node.
+    hash at every node.
     """
     m = memo.get(id(f))
     if m is not None:
         return m
-    if isinstance(f, Not):
-        m = ~truth_mask(f.child, full, atom, memo) & full
-    elif isinstance(f, Implies):
-        m = (~truth_mask(f.left, full, atom, memo) | truth_mask(f.right, full, atom, memo)) & full
-    elif isinstance(f, And):
-        m = truth_mask(f.left, full, atom, memo) & truth_mask(f.right, full, atom, memo)
-    elif isinstance(f, Or):
-        m = truth_mask(f.left, full, atom, memo) | truth_mask(f.right, full, atom, memo)
-    elif isinstance(f, Iff):
-        m = ~(truth_mask(f.left, full, atom, memo) ^ truth_mask(f.right, full, atom, memo)) & full
-    elif isinstance(f, Top):
-        m = full
-    elif isinstance(f, Bottom):
-        m = 0
-    elif isinstance(f, (Prop, Necessity, Blame)):
+    try:
+        op = _FOLDS[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+    k = f._key  # the children follow the two facts
+    if op is None:
         m = atom(f)
+    elif len(k) == 4:
+        m = op(full, truth_mask(k[2], full, atom, memo), truth_mask(k[3], full, atom, memo))
     else:
-        raise TypeError(f"not a formula: {f!r}")
+        m = op(full, truth_mask(k[2], full, atom, memo)) if len(k) == 3 else op(full)
     memo[id(f)] = m
     return m
 
 
+# How each connective combines its children's vectors; None marks the
+# nodes the caller's ``atom`` answers for.
+_FOLDS = {
+    Not: lambda full, c: ~c & full,
+    Implies: lambda full, a, b: (~a | b) & full,
+    And: lambda full, a, b: a & b,
+    Or: lambda full, a, b: a | b,
+    Iff: lambda full, a, b: ~(a ^ b) & full,
+    Top: lambda full: full,
+    Bottom: lambda full: 0,
+    Prop: None,
+    Necessity: None,
+    Blame: None,
+}
+
+
 def blame_nodes(f: Formula) -> Iterator[Blame]:
     """Every Blame node in the tree, each before the nodes below it."""
-    stack = [f]
+    stack = [f] if isinstance(f, Formula) else []
     while stack:
         node = stack.pop()
-        if isinstance(node, (Not, Necessity)):
-            stack.append(node.child)
-        elif isinstance(node, (Implies, And, Or, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Blame):
+        if isinstance(node, Blame):
             yield node
-            stack.append(node.child)
+        stack.extend(c for c in node._key[2:] if isinstance(c, Formula))
 
 
 def agents_mentioned(f: Formula) -> set[str]:
     """Union of all Blame coalitions in the tree."""
-    return {a for node in blame_nodes(f) for a in node.coalition}
+    return set(f.agents)

@@ -85,6 +85,14 @@ class Strategy:
         if set(self.choice) != set(self.coalition.members):
             raise ValueError("strategy domain must equal the coalition")
 
+    @classmethod
+    def _canonical(cls, coalition: Coalition, choice: dict[str, str]) -> "Strategy":
+        """Wrap a fresh choice whose domain is already exactly the coalition."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "coalition", coalition)
+        object.__setattr__(s, "choice", choice)
+        return s
+
 
 def validate(g: Game) -> list[str]:
     """All invariant violations, in a stable order; empty means ok."""

@@ -70,7 +70,7 @@ class SplitMix64:
         return self.next64() % n
 
     def choice(self, seq: Sequence):
-        return seq[self.below(len(seq))]
+        return seq[self.next64() % len(seq)]
 
     def sample(self, seq: Sequence, k: int) -> list:
         """k distinct elements, by partial Fisher-Yates."""
@@ -138,16 +138,20 @@ def random_game(params: GenParams) -> Game:
 
 def random_formula(params: GenParams, game: Game) -> Formula:
     """One formula over the game's propositions and agents, depth-bounded."""
-    rng = SplitMix64(params.seed)
-    return _formula(rng, params.formula_depth, game)
+    return _draw(params.seed, params.formula_depth, game)
+
+
+def _draw(seed: int, depth: int, game: Game) -> Formula:
+    return _formula(SplitMix64(seed), depth, sorted(game.valuation) or ["p"], game.agents)
 
 
 _LEAVES = ("prop", "prop", "prop", "top", "bottom")
 _NODES = ("prop", "not", "implies", "and", "or", "iff", "nec", "poss", "blame")
+_UNARY = {"not": Not, "nec": Necessity, "poss": possibly}
+_BINARY = {"implies": Implies, "and": And, "or": Or, "iff": Iff}
 
 
-def _formula(rng: SplitMix64, depth: int, game: Game) -> Formula:
-    props = sorted(game.valuation) or ["p"]
+def _formula(rng: SplitMix64, depth: int, props: list[str], agents: Sequence[str]) -> Formula:
     kind = rng.choice(_LEAVES) if depth <= 0 else rng.choice(_NODES)
     if kind == "poss" and depth < 3:
         kind = "not"  # "<N>" desugars to three nodes, so it needs the room
@@ -157,21 +161,13 @@ def _formula(rng: SplitMix64, depth: int, game: Game) -> Formula:
         return Top()
     if kind == "bottom":
         return Bottom()
-    if kind == "not":
-        return Not(_formula(rng, depth - 1, game))
-    if kind == "implies":
-        return Implies(_formula(rng, depth - 1, game), _formula(rng, depth - 1, game))
-    if kind == "and":
-        return And(_formula(rng, depth - 1, game), _formula(rng, depth - 1, game))
-    if kind == "or":
-        return Or(_formula(rng, depth - 1, game), _formula(rng, depth - 1, game))
-    if kind == "iff":
-        return Iff(_formula(rng, depth - 1, game), _formula(rng, depth - 1, game))
-    if kind == "nec":
-        return Necessity(_formula(rng, depth - 1, game))
-    if kind == "poss":
-        return possibly(_formula(rng, depth - 3, game))
-    return Blame(Coalition(rng.subset(game.agents)), _formula(rng, depth - 1, game))
+    if kind in _BINARY:
+        left = _formula(rng, depth - 1, props, agents)
+        return _BINARY[kind](left, _formula(rng, depth - 1, props, agents))
+    if kind == "blame":
+        coalition = Coalition(rng.subset(agents))
+        return Blame(coalition, _formula(rng, depth - 1, props, agents))
+    return _UNARY[kind](_formula(rng, depth - (3 if kind == "poss" else 1), props, agents))
 
 
 def _corpus_game(params: GenParams, sub_seed: int) -> tuple[Game, SplitMix64]:
@@ -200,7 +196,7 @@ def _sample_subst(rng: SplitMix64, params: GenParams, game: Game, schema_name: s
     subst: dict = {}
 
     def draw() -> Formula:
-        return random_formula(replace(params, seed=rng.next64()), game)
+        return _draw(rng.next64(), params.formula_depth, game)
 
     if "phi" in schema.metavars:
         subst["phi"] = draw()
@@ -279,7 +275,7 @@ def soundness_sweep(
                         record(index, game, name, instance, play)
                         break
         for _ in range(3):
-            f = random_formula(replace(params, seed=rng.next64()), game)
+            f = _draw(rng.next64(), params.formula_depth, game)
             if all(evaluate(game, f).truth):
                 extras["necessitation"] += 1
                 boxed = evaluate(game, Necessity(f)).truth

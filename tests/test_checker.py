@@ -1,10 +1,12 @@
 import itertools
+import time
 
 import pytest
 
 from blamelogic import (
     Blame,
     Coalition,
+    CoalitionCountError,
     Game,
     Play,
     StrategySpaceError,
@@ -16,8 +18,8 @@ from blamelogic import (
     satisfies,
     valid_in_game,
 )
-from blamelogic.checker import DEFAULT_STRATEGY_CAP
-from blamelogic.generate import GenParams, SplitMix64, corpus_games, random_formula
+from blamelogic.checker import DEFAULT_STRATEGY_CAP, _precheck
+from blamelogic.generate import GenParams, SplitMix64, corpus_games, random_formula, random_game
 
 
 def eval_text(game, text):
@@ -314,3 +316,83 @@ def test_blame_search_one_action_many_agents():
         assert report.entries == ()
         assert [] == reference_blame(g, play, parse("p"), max_size)
     assert blame_witness(g, 0, Coalition(agents), parse("p")) is None
+
+
+def walk_precheck(g, f, cap, extra=None):
+    """The pre-check as a whole-tree walk: unknown agents first, then the cap in walk order."""
+    coalitions, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Blame):
+            coalitions.append(node.coalition)
+        stack.extend(getattr(node, k) for k in ("left", "right", "child") if hasattr(node, k))
+    if extra is not None:
+        coalitions.insert(0, extra)
+    unknown = {a for c in coalitions for a in c} - set(g.agents)
+    if unknown:
+        raise ValueError(f"agents not in the game: {sorted(unknown)}")
+    for c in coalitions:
+        if len(c) and len(g.actions) ** len(c) > cap:
+            raise StrategySpaceError(c, len(g.actions) ** len(c), cap)
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except StrategySpaceError as e:
+        return "cap", str(e), e.coalition, e.size, e.cap
+    except ValueError as e:
+        return "agents", str(e)
+    return None
+
+
+def test_precheck_facts_raise_what_the_walk_raises():
+    # Formulas drawn over four agents, checked against games that have
+    # fewer: some name unknown agents, some go over a small cap, some both.
+    rng = SplitMix64(20261019)
+    wide = random_game(GenParams(seed=rng.next64(), n_agents=4, n_props=3))
+    seen = set()
+    for n_agents in (1, 2, 3, 4):
+        for _ in range(6):
+            g = random_game(GenParams(seed=rng.next64(), n_agents=n_agents, n_actions=3))
+            for _ in range(40):
+                f = random_formula(GenParams(seed=rng.next64(), formula_depth=5), wide)
+                extra = Coalition(rng.subset(wide.agents)) if rng.below(3) == 0 else None
+                for cap in (4, DEFAULT_STRATEGY_CAP):
+                    expected = outcome(walk_precheck, g, f, cap, extra)
+                    assert outcome(_precheck, g, f, cap, extra) == expected
+                    seen.add(expected and expected[0])
+                    both = expected and expected[0] == "agents" and f.widest and (
+                        len(g.actions) ** max(f.widest, len(extra or ())) > cap
+                    )
+                    seen.add("both" if both else None)
+    assert seen == {None, "agents", "cap", "both"}
+
+
+class TestCoalitionCountGuard:
+    @staticmethod
+    def game(n_agents, actions=("x", "y")):
+        agents = tuple(f"g{k}" for k in range(n_agents))
+        plays = tuple(Play({a: x for a in agents}, f"o{k}") for k, x in enumerate(actions))
+        return Game(agents, actions, tuple(f"o{k}" for k in range(len(actions))), plays,
+                    {"p": frozenset({0})})  # fmt: skip
+
+    def test_many_coalitions_raise_before_any_search(self):
+        g = self.game(40)
+        t0 = time.perf_counter()
+        with pytest.raises(CoalitionCountError, match="over the cap 1048576"):
+            blamable_coalitions(g, 0, parse("p"), 10)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_the_count_is_compared_with_cap(self):
+        g = self.game(4)  # 4 + 6 coalitions of at most 2 agents
+        assert len(blamable_coalitions(g, 0, parse("p"), 2, cap=10).entries) == 10
+        with pytest.raises(CoalitionCountError, match="10 coalitions"):
+            blamable_coalitions(g, 0, parse("p"), 2, cap=9)
+
+    def test_reports_that_are_empty_without_a_search_stay_empty(self):
+        g = self.game(40)
+        assert blamable_coalitions(g, 1, parse("p"), 10).entries == ()  # p false here
+        assert blamable_coalitions(g, 0, parse("p"), 0).entries == ()
+        # one action: the grand coalition cannot prevent p, so nothing can
+        assert blamable_coalitions(self.game(40, ("x",)), 0, parse("p"), 10).entries == ()

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,25 @@ class TestBlame:
         )
         assert code == 1
         assert json.loads(out)["blamable"] == []
+
+    def test_too_many_coalitions_is_an_input_error(self, capsys, tmp_path):
+        agents = [f"g{k}" for k in range(40)]
+        doc = {
+            "agents": agents, "actions": ["x", "y"], "outcomes": ["w", "v"],
+            "plays": [{"profile": dict.fromkeys(agents, x), "outcome": o}
+                      for x, o in (("x", "w"), ("y", "v"))],
+            "valuation": {"p": [0]},
+        }  # fmt: skip
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "blame", "--game", str(path), "--play", "0",
+            "--formula", "p", "--max-size", "10",
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "coalitions" in err
 
 
 class TestProof:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,8 @@ from blamelogic import (
     possibly,
 )
 from blamelogic.formula import Bottom, check_ident, is_ident, truth_mask
+from blamelogic.generate import GenParams, SplitMix64, _sample_subst, corpus_games, random_formula
+from blamelogic.proofs import BUNDLED_NAMES, SCHEMAS, bundled_script, instantiate_schema
 
 IDENT = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True).filter(
     lambda s: s not in ("true", "false")
@@ -132,3 +136,111 @@ def test_agents_mentioned():
     f = Implies(Blame(["a", "b"], Blame(["c"], p)), Necessity(Blame([], p)))
     assert agents_mentioned(f) == {"a", "b", "c"}
     assert agents_mentioned(Necessity(p)) == set()
+
+
+def every_node():
+    p = Prop("p")
+    return [
+        p, Top(), Bottom(), Not(p), Necessity(p), Blame(["b", "a"], p),
+        Implies(p, Top()), And(p, Bottom()), Or(Top(), p), Iff(p, Not(p)),
+    ]
+
+
+class TestNodeContract:
+    def test_repr_names_every_field(self):
+        assert repr(Blame(["a"], Prop("p"))) == (
+            "Blame(coalition=Coalition(members=('a',)), child=Prop(name='p'))"
+        )
+        assert repr(Top()) == "Top()"
+        assert repr(Iff(Prop("p"), Not(Bottom()))) == (
+            "Iff(left=Prop(name='p'), right=Not(child=Bottom()))"
+        )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for node in every_node():
+            back = pickle.loads(pickle.dumps(node, protocol))
+            assert type(back) is type(node)
+            assert back == node and hash(back) == hash(node)
+            assert (back.agents, back.widest) == (node.agents, node.widest)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+    def test_copies_are_equal(self, copier):
+        shared = Necessity(Top())
+        f = Implies(Blame(["a", "b"], Prop("p")), And(shared, shared))
+        for node in every_node() + [f]:
+            twin = copier(node)
+            assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
+            assert repr(twin) == repr(node)
+
+    def test_structural_equality_and_hash(self):
+        for a, b in zip(every_node(), every_node()):
+            assert a is not b and a == b and hash(a) == hash(b)
+        nodes = every_node()
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1 :]:
+                assert a != b
+        assert Not(Prop("p")) != Necessity(Prop("p"))
+        assert Prop("p") != "p"
+
+    def test_fields_cannot_be_assigned(self):
+        f = And(Prop("p"), Blame(["a"], Prop("q")))
+        for name in ("left", "right", "agents", "widest", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, Top())
+        for node, name in ((Prop("p"), "name"), (Not(Top()), "child"), (Blame([], Top()), "coalition")):
+            with pytest.raises(AttributeError):
+                setattr(node, name, Top())
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        with pytest.raises(AttributeError):
+            Top().extra = 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: And(Prop("p"), "q"),
+            lambda: Or("q", Prop("p")),
+            lambda: Implies(None, None),
+            lambda: Iff(Prop("p"), Coalition(["a"])),
+            lambda: Not("q"),
+            lambda: Necessity(3),
+            lambda: Blame(["a"], "q"),
+        ],
+    )
+    def test_non_formula_child_is_a_type_error(self, build):
+        with pytest.raises(TypeError, match="not a formula: "):
+            build()
+
+
+def reference_facts(f):
+    """(agents, widest) by a walk over the public fields, independent of the facts."""
+    agents, widest, stack = set(), 0, [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Blame):
+            agents |= set(node.coalition)
+            widest = max(widest, len(node.coalition))
+        stack.extend(getattr(node, k) for k in ("left", "right", "child") if hasattr(node, k))
+    return agents, widest
+
+
+def test_facts_match_a_walk_on_the_acceptance_corpus():
+    params = GenParams(seed=20260822, n_agents=4, n_actions=4, n_outcomes=4,
+                       n_plays=16, n_props=4, formula_depth=4)  # fmt: skip
+    rng = SplitMix64(params.seed + 61)
+    formulas = [bundled_script(name).claim for name in BUNDLED_NAMES]
+    for name in BUNDLED_NAMES:
+        formulas += [line.formula for line in bundled_script(name).lines]
+    for game in corpus_games(params, 60):
+        for _ in range(6):
+            formulas.append(random_formula(GenParams(seed=rng.next64(), formula_depth=6), game))
+        for name in sorted(SCHEMAS):
+            formulas.append(instantiate_schema(name, _sample_subst(rng, params, game, name)))
+    with_blame = 0
+    for f in formulas:
+        agents, widest = reference_facts(f)
+        assert f.agents == agents and f.widest == widest, f
+        assert agents_mentioned(f) == agents
+        with_blame += widest > 0
+    assert with_blame > len(formulas) // 4  # the corpus does exercise the facts
