@@ -6,67 +6,40 @@ that would have kept it false everywhere).  The package parses and
 prints formulas, model-checks them on games, extracts blame witnesses,
 verifies Hilbert-style derivations in the matching axiom system, and
 fuzz-tests the axioms' soundness on random games.
+
+A name is public when it is in its module's ``__all__``; the package
+imports that module the first time the name is asked for (PEP 562).
 """
 
-from .checker import (
-    DEFAULT_STRATEGY_CAP,
-    BlameEntry,
-    BlameReport,
-    CoalitionCountError,
-    EvalTable,
-    StrategySpaceError,
-    blamable_coalitions,
-    blame_witness,
-    evaluate_all,
-    satisfies,
-    valid_in_game,
-)
-from .formula import (
-    And,
-    Blame,
-    Bottom,
-    Coalition,
-    Formula,
-    Iff,
-    Implies,
-    Necessity,
-    Not,
-    Or,
-    Prop,
-    Top,
-    agents_mentioned,
-    possibly,
-)
-from .game import (
-    Game,
-    GameFormatError,
-    GameValidationError,
-    Play,
-    Strategy,
-    load,
-    save,
-    validate,
-)
-from .generate import GenParams, SplitMix64, corpus_games, random_formula, random_game, soundness_sweep
-from .parser import ParseError, format_formula, parse
-from .proofs import (
-    BUNDLED_NAMES,
-    SCHEMAS,
-    AtomLimitError,
-    InstantiationError,
-    Justification,
-    Proof,
-    ProofFailure,
-    ProofFormatError,
-    ProofLine,
-    Schema,
-    bundled_script,
-    bundled_scripts,
-    check_proof,
-    dump_proof,
-    instantiate_schema,
-    is_tautology,
-    load_proof,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# Dependency order: looking a name up imports its module and the ones
+# before it, never a module that depends on it.
+_MODULES = ("formula", "parser", "game", "checker", "proofs", "generate")
+
+
+def _public() -> list[str]:
+    return [*_MODULES, *(n for m in _MODULES for n in _import_module(f".{m}", __name__).__all__)]
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        value = _public()
+    elif name in _MODULES:
+        value = _import_module(f".{name}", __name__)
+    else:
+        for m in _MODULES:
+            module = _import_module(f".{m}", __name__)
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_public()})

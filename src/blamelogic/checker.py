@@ -58,7 +58,7 @@ __all__ = [
 DEFAULT_STRATEGY_CAP = 1 << 20
 
 
-class StrategySpaceError(Exception):
+class StrategySpaceError(ValueError):
     """|actions|^|coalition| exceeds the enumeration cap for some B node."""
 
     def __init__(self, coalition: Coalition, size: int, cap: int) -> None:

@@ -3,7 +3,8 @@
 Exit codes are uniform across subcommands: 0 when the queried property
 holds (or the requested output was produced), 1 when it fails with a
 counterexample, 2 on usage or input errors.  stdout carries exactly the
-documented payload; everything else goes to stderr.
+documented payload; everything else goes to stderr.  Each subcommand
+imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -14,26 +15,18 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .checker import (
-    StrategySpaceError,
-    _check_play_index,
-    blamable_coalitions,
-    evaluate_all,
-    valid_in_game,
-)
-from .game import load
-from .generate import GenParams, soundness_sweep
-from .parser import format_formula, parse
-from .proofs import BUNDLED_NAMES, bundled_script, check_proof, load_proof
 
 __all__ = ["main", "run"]
 
 
 def _load_game(path: str):
+    from .game import load
     return load(Path(path).read_bytes())
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .checker import _check_play_index, evaluate_all
+    from .parser import parse
     game = _load_game(args.game)
     table = evaluate_all(game, parse(args.formula))
     _check_play_index(game, args.play)
@@ -43,6 +36,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_valid(args: argparse.Namespace) -> int:
+    from .checker import valid_in_game
+    from .parser import parse
     game = _load_game(args.game)
     failing = valid_in_game(game, parse(args.formula))
     if failing is not None:
@@ -53,6 +48,8 @@ def _cmd_valid(args: argparse.Namespace) -> int:
 
 
 def _cmd_blame(args: argparse.Namespace) -> int:
+    from .checker import blamable_coalitions
+    from .parser import parse
     game = _load_game(args.game)
     report = blamable_coalitions(game, args.play, parse(args.formula), args.max_size)
     print(json.dumps(report.as_dict(), indent=2))
@@ -60,6 +57,7 @@ def _cmd_blame(args: argparse.Namespace) -> int:
 
 
 def _cmd_proof(args: argparse.Namespace) -> int:
+    from .proofs import BUNDLED_NAMES, bundled_script, check_proof, load_proof
     if (args.file is None) == (args.bundled is None):
         print("error: give exactly one of FILE or --bundled NAME", file=sys.stderr)
         return 2
@@ -80,6 +78,7 @@ def _cmd_proof(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from .generate import GenParams, soundness_sweep
     params = GenParams(
         seed=args.seed,
         n_agents=4,
@@ -95,6 +94,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
+    from .parser import format_formula, parse
     print(format_formula(parse(args.formula)))
     return 0
 
@@ -158,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ValueError, IndexError, OSError, StrategySpaceError) as e:
+    except (ValueError, IndexError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -30,11 +30,7 @@ __all__ = [
     "Or",
     "Iff",
     "possibly",
-    "truth_mask",
-    "blame_nodes",
     "agents_mentioned",
-    "check_ident",
-    "is_ident",
 ]
 
 _IDENT = re.compile(r"[a-z][A-Za-z0-9_]*\Z")

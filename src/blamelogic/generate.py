@@ -40,8 +40,6 @@ __all__ = [
     "random_formula",
     "corpus_games",
     "soundness_sweep",
-    "AGENT_ROSTER",
-    "PROP_ROSTER",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -202,19 +200,13 @@ def _sample_subst(rng: SplitMix64, params: GenParams, game: Game, schema_name: s
         subst["phi"] = draw()
     if "psi" in schema.metavars:
         subst["psi"] = draw()
-    agents = list(game.agents)
-    if schema.side_condition == "disjoint(C,D)":
-        c = rng.subset(agents)
-        rest = [a for a in agents if a not in c]
+    if "C" in schema.metavars:
+        c = rng.subset(game.agents)
         subst["C"] = Coalition(c)
-        subst["D"] = Coalition(rng.subset(rest))
-    elif schema.side_condition == "subset(C,D)":
-        c = rng.subset(agents)
-        extra = rng.subset([a for a in agents if a not in c])
-        subst["C"] = Coalition(c)
-        subst["D"] = Coalition(c + extra)
-    elif "C" in schema.metavars:
-        subst["C"] = Coalition(rng.subset(agents))
+        if "D" in schema.metavars:
+            # D adds agents outside C to C for "subset", or is them alone.
+            extra = rng.subset([a for a in game.agents if a not in c])
+            subst["D"] = Coalition(c + extra if schema.side_condition == "subset(C,D)" else extra)
     return subst
 
 
@@ -223,7 +215,6 @@ def soundness_sweep(
     games: int,
     instances_per_schema: int,
     *,
-    pinned: Sequence[Game] = (),
     evaluate_all_fn: Callable[[Game, Formula], checker.EvalTable] | None = None,
 ) -> dict:
     """Assert every sampled schema instance at every play of every game.
@@ -245,14 +236,6 @@ def soundness_sweep(
     extras = {"necessitation": 0, "empty_coalition": 0}
     failures: list[dict] = []
 
-    master = SplitMix64(params.seed)
-    corpus: list[tuple[int, Game, SplitMix64]] = []
-    for i in range(games):
-        game, rng = _corpus_game(params, master.next64())
-        corpus.append((i, game, rng))
-    for k, game in enumerate(pinned):
-        corpus.append((games + k, game, SplitMix64(master.next64())))
-
     def record(index: int, game: Game, label: str, formula: Formula, play: int) -> None:
         failures.append(
             {
@@ -264,7 +247,9 @@ def soundness_sweep(
             }
         )
 
-    for index, game, rng in corpus:
+    master = SplitMix64(params.seed)
+    for index in range(games):
+        game, rng = _corpus_game(params, master.next64())
         for name in schema_names:
             for _ in range(instances_per_schema):
                 instance = instantiate_schema(name, _sample_subst(rng, params, game, name))
@@ -291,7 +276,7 @@ def soundness_sweep(
 
     return {
         "seed": params.seed,
-        "games": games + len(pinned),
+        "games": games,
         "instances_per_schema": instances_per_schema,
         "schema_totals": totals,
         "extra_totals": extras,

@@ -66,7 +66,7 @@ class AtomLimitError(ValueError):
 class Schema:
     name: str
     metavars: tuple[str, ...]
-    side_condition: str | None  # None, "disjoint(C,D)", or "subset(C,D)"
+    side_condition: str | None  # None or a key of _SIDE_CONDITIONS
     build: Callable[..., Formula]
 
 
@@ -115,6 +115,12 @@ def _fairness(phi: Formula, c: Coalition) -> Formula:
     return Implies(Blame(c, phi), Necessity(Implies(phi, Blame(c, phi))))
 
 
+# Side condition -> (predicate on C and D, what a violation says).
+_SIDE_CONDITIONS = {
+    "disjoint(C,D)": (Coalition.isdisjoint, "C and D overlap"),
+    "subset(C,D)": (Coalition.issubset, "C is not a subset of D"),
+}
+
 SCHEMAS: dict[str, Schema] = {
     s.name: s
     for s in (
@@ -156,16 +162,10 @@ def instantiate_schema(schema: Schema | str, subst: Mapping[str, object]) -> For
                 raise InstantiationError(f"{schema.name}: {var} must be a formula")
         elif not isinstance(value, Coalition):
             bound[var] = Coalition(value)  # accept any iterable of agent ids
-    if schema.side_condition == "disjoint(C,D)":
-        if not bound["C"].isdisjoint(bound["D"]):
-            raise InstantiationError(
-                f"{schema.name}: side condition violated, C and D overlap"
-            )
-    elif schema.side_condition == "subset(C,D)":
-        if not bound["C"].issubset(bound["D"]):
-            raise InstantiationError(
-                f"{schema.name}: side condition violated, C is not a subset of D"
-            )
+    if schema.side_condition is not None:
+        holds, message = _SIDE_CONDITIONS[schema.side_condition]
+        if not holds(bound["C"], bound["D"]):
+            raise InstantiationError(f"{schema.name}: side condition violated, {message}")
     return schema.build(*(bound[var] for var in schema.metavars))
 
 

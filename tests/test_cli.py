@@ -72,6 +72,26 @@ class TestCheck:
         assert code == 2
         assert "duplicate agent" in err
 
+    def test_strategy_space_over_cap_is_an_input_error(self, capsys, tmp_path):
+        agents = [f"a{k}" for k in range(21)]
+        doc = {
+            "agents": agents, "actions": ["x", "y"], "outcomes": ["w"],
+            "plays": [{"profile": dict.fromkeys(agents, "x"), "outcome": "w"}],
+            "valuation": {"p": [0]},
+        }  # fmt: skip
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "check", "--game", str(path), "--play", "0",
+            "--formula", "B{" + ",".join(agents) + "} p",
+        )
+        coalition = "{" + ",".join(sorted(agents)) + "}"
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: strategy space for coalition {coalition} has 2097152 elements,"
+            " over the cap 1048576\n"
+        )
+
 
 class TestValid:
     def test_ok(self, capsys, lopez_file):

@@ -1,0 +1,109 @@
+"""The package's public names, and which modules each command loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import blamelogic
+from blamelogic import checker, formula, game, generate, parser, proofs
+
+SRC = str(Path(blamelogic.__file__).resolve().parents[1])
+MODULES = (formula, parser, game, checker, proofs, generate)
+
+# The public names of the package before it loaded its modules lazily.
+PUBLIC = {
+    "And", "AtomLimitError", "BUNDLED_NAMES", "Blame", "BlameEntry", "BlameReport",
+    "Bottom", "Coalition", "CoalitionCountError", "DEFAULT_STRATEGY_CAP", "EvalTable",
+    "Formula", "Game", "GameFormatError", "GameValidationError", "GenParams", "Iff",
+    "Implies", "InstantiationError", "Justification", "Necessity", "Not", "Or",
+    "ParseError", "Play", "Proof", "ProofFailure", "ProofFormatError", "ProofLine",
+    "Prop", "SCHEMAS", "Schema", "SplitMix64", "Strategy", "StrategySpaceError", "Top",
+    "agents_mentioned", "blamable_coalitions", "blame_witness", "bundled_script",
+    "bundled_scripts", "check_proof", "checker", "corpus_games", "dump_proof",
+    "evaluate_all", "format_formula", "formula", "game", "generate",
+    "instantiate_schema", "is_tautology", "load", "load_proof", "parse", "parser",
+    "possibly", "proofs", "random_formula", "random_game", "satisfies", "save",
+    "soundness_sweep", "valid_in_game", "validate",
+}  # fmt: skip
+
+LOADED = "sorted(m.split('.')[1] for m in sys.modules if m.startswith('blamelogic.'))"
+
+
+def fresh(code: str):
+    """Run code in a new interpreter and decode the JSON it prints."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_import_loads_no_submodule():
+    assert fresh(f"import json, sys, blamelogic; print(json.dumps({LOADED}))") == []
+
+
+def test_dir_and_star_import_give_the_public_names():
+    names = fresh(
+        "import json, blamelogic\n"
+        "ns = {}\n"
+        "exec('from blamelogic import *', ns)\n"
+        "public = [n for n in dir(blamelogic) if not n.startswith('_')]\n"
+        "print(json.dumps([public, sorted(set(ns) - {'__builtins__'})]))"
+    )
+    assert names == [sorted(PUBLIC), sorted(PUBLIC)]
+    assert set(blamelogic.__all__) == PUBLIC
+
+
+def test_each_name_is_its_modules_object():
+    declared = [name for m in MODULES for name in m.__all__]
+    assert len(declared) == len(set(declared))  # no name has two homes
+    assert set(declared) | {m.__name__.split(".")[1] for m in MODULES} == PUBLIC
+    for m in MODULES:
+        assert getattr(blamelogic, m.__name__.split(".")[1]) is m
+        for name in m.__all__:
+            assert getattr(blamelogic, name) is getattr(m, name)
+            assert vars(blamelogic)[name] is getattr(m, name)  # cached
+
+
+def test_unknown_name():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        blamelogic.no_such_name
+    with pytest.raises(ImportError):
+        from blamelogic import no_such_name  # noqa: F401
+
+
+CHECKING = ["checker", "cli", "formula", "game", "parser"]
+RUNS = {
+    "fmt": (["--formula", "p & q"], ["cli", "formula", "parser"]),
+    "check": (["--game", "GAME", "--play", "2", "--formula", "B{lopez} dead"], CHECKING),
+    "valid": (["--game", "GAME", "--formula", "dead | !dead"], CHECKING),
+    "blame": (["--game", "GAME", "--play", "2", "--formula", "dead"], CHECKING),
+    "proof": (["--bundled", "lemma1"], ["cli", "formula", "game", "parser", "proofs"]),
+    "fuzz": (
+        ["--seed", "1", "--games", "1", "--instances", "1"],
+        ["checker", "cli", "formula", "game", "generate", "parser", "proofs"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", RUNS)
+def test_each_subcommand_loads_the_modules_it_runs(lopez_file, command):
+    args, loaded = RUNS[command]
+    argv = [command] + [str(lopez_file) if a == "GAME" else a for a in args]
+    code, modules = fresh(
+        "import contextlib, io, json, sys\n"
+        "from blamelogic.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        f"print(json.dumps([code, {LOADED}]))"
+    )
+    assert (code, modules) == (0, loaded)
