@@ -17,7 +17,6 @@ only a formula that fails it is walked, to find the error to report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
@@ -34,6 +33,7 @@ from .formula import (
     Or,
     Prop,
     Top,
+    _Record,
     blame_nodes,
     check_ident,
     truth_mask,
@@ -74,25 +74,20 @@ class CoalitionCountError(ValueError):
     """A blame search would try more coalitions than the enumeration cap."""
 
 
-@dataclass(frozen=True)
-class EvalTable:
-    formula: Formula
-    truth: tuple[bool, ...]
+class EvalTable(_Record):
+    """A formula's truth value at each play, in play order."""
+
+    __slots__ = ("formula", "truth")
 
 
-@dataclass(frozen=True)
-class BlameEntry:
-    coalition: Coalition
-    witness: Strategy
-    minimal: bool
+class BlameEntry(_Record):
+    """A blamable coalition, its first preventing Strategy, and whether it is minimal."""
+
+    __slots__ = ("coalition", "witness", "minimal")
 
 
-@dataclass(frozen=True)
-class BlameReport:
-    play_index: int
-    formula: Formula
-    max_size: int
-    entries: tuple[BlameEntry, ...]
+class BlameReport(_Record):
+    __slots__ = ("play_index", "formula", "max_size", "entries")
 
     def as_dict(self) -> dict:
         return {

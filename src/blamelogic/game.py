@@ -10,10 +10,9 @@ true; unmentioned propositions are false everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Iterable, Mapping
 
-from .formula import Coalition, is_ident
+from .formula import Coalition, _Record, is_ident
 
 __all__ = [
     "Game",
@@ -39,50 +38,41 @@ class GameValidationError(ValueError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class Play:
-    profile: Mapping[str, str]
-    outcome: str
+class Play(_Record):
+    __slots__ = ("profile", "outcome")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "profile", dict(self.profile))
+    def __init__(self, profile: Mapping[str, str], outcome: str) -> None:
+        self._fill(dict(profile), outcome)
 
     def _key(self) -> tuple:
         return (tuple(sorted(self.profile.items())), self.outcome)
 
 
-@dataclass(frozen=True)
-class Game:
-    agents: tuple[str, ...]
-    actions: tuple[str, ...]
-    outcomes: tuple[str, ...]
-    plays: tuple[Play, ...] = ()
-    valuation: Mapping[str, frozenset[int]] = field(default_factory=dict)
+class Game(_Record):
+    __slots__ = ("agents", "actions", "outcomes", "plays", "valuation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        object.__setattr__(self, "plays", tuple(self.plays))
-        object.__setattr__(
-            self,
-            "valuation",
-            {name: frozenset(ix) for name, ix in dict(self.valuation).items()},
-        )
+    def __init__(
+        self,
+        agents: tuple[str, ...],
+        actions: tuple[str, ...],
+        outcomes: tuple[str, ...],
+        plays: tuple[Play, ...] = (),
+        valuation: Mapping[str, frozenset[int]] = {},  # copied, never mutated
+    ) -> None:
+        valuation = {name: frozenset(ix) for name, ix in dict(valuation).items()}
+        self._fill(tuple(agents), tuple(actions), tuple(outcomes), tuple(plays), valuation)
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(_Record):
     """An action choice for exactly the members of one coalition."""
 
-    coalition: Coalition
-    choice: Mapping[str, str]
+    __slots__ = ("coalition", "choice")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coalition, Coalition):
-            object.__setattr__(self, "coalition", Coalition(self.coalition))
-        object.__setattr__(self, "choice", dict(self.choice))
-        if set(self.choice) != set(self.coalition.members):
+    def __init__(self, coalition: Coalition | Iterable[str], choice: Mapping[str, str]) -> None:
+        if not isinstance(coalition, Coalition):
+            coalition = Coalition(coalition)
+        self._fill(coalition, dict(choice))
+        if set(self.choice) != set(coalition.members):
             raise ValueError("strategy domain must equal the coalition")
 
     @classmethod

@@ -9,9 +9,8 @@ reports independent of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Sequence
 from itertools import product
-from typing import Callable, Sequence
 
 from . import checker
 from .formula import (
@@ -27,6 +26,7 @@ from .formula import (
     Or,
     Prop,
     Top,
+    _Record,
     possibly,
 )
 from .game import Game, Play, save
@@ -82,31 +82,36 @@ class SplitMix64:
         return [x for x in seq if self.below(2)]
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(_Record):
     """Size bounds for one generated game and its formulas."""
 
-    seed: int = 0
-    n_agents: int = 2
-    n_actions: int = 2
-    n_outcomes: int = 2
-    n_plays: int = 6
-    n_props: int = 2
-    formula_depth: int = 4
+    __slots__ = (
+        "seed", "n_agents", "n_actions", "n_outcomes", "n_plays", "n_props", "formula_depth"
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        seed: int = 0,
+        n_agents: int = 2,
+        n_actions: int = 2,
+        n_outcomes: int = 2,
+        n_plays: int = 6,
+        n_props: int = 2,
+        formula_depth: int = 4,
+    ) -> None:
         checks = (
-            (0 <= self.seed <= _MASK64, "seed must fit in 64 bits"),
-            (1 <= self.n_agents <= 4, "n_agents must be in [1, 4]"),
-            (1 <= self.n_actions <= 4, "n_actions must be in [1, 4]"),
-            (1 <= self.n_outcomes <= 4, "n_outcomes must be in [1, 4]"),
-            (0 <= self.n_plays <= 16, "n_plays must be in [0, 16]"),
-            (1 <= self.n_props <= 4, "n_props must be in [1, 4]"),
-            (0 <= self.formula_depth <= 6, "formula_depth must be in [0, 6]"),
+            (0 <= seed <= _MASK64, "seed must fit in 64 bits"),
+            (1 <= n_agents <= 4, "n_agents must be in [1, 4]"),
+            (1 <= n_actions <= 4, "n_actions must be in [1, 4]"),
+            (1 <= n_outcomes <= 4, "n_outcomes must be in [1, 4]"),
+            (0 <= n_plays <= 16, "n_plays must be in [0, 16]"),
+            (1 <= n_props <= 4, "n_props must be in [1, 4]"),
+            (0 <= formula_depth <= 6, "formula_depth must be in [0, 6]"),
         )
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
+        self._fill(seed, n_agents, n_actions, n_outcomes, n_plays, n_props, formula_depth)
 
 
 def random_game(params: GenParams) -> Game:
@@ -171,14 +176,14 @@ def _formula(rng: SplitMix64, depth: int, props: list[str], agents: Sequence[str
 def _corpus_game(params: GenParams, sub_seed: int) -> tuple[Game, SplitMix64]:
     """Build game number i of a corpus and hand back its live stream."""
     rng = SplitMix64(sub_seed)
-    sizes = replace(
-        params,
+    sizes = GenParams(
         seed=rng.next64(),
         n_agents=1 + rng.below(params.n_agents),
         n_actions=1 + rng.below(params.n_actions),
         n_outcomes=1 + rng.below(params.n_outcomes),
         n_plays=rng.below(params.n_plays + 1),
         n_props=1 + rng.below(params.n_props),
+        formula_depth=params.formula_depth,
     )
     return random_game(sizes), rng
 

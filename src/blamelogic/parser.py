@@ -166,26 +166,28 @@ def format_formula(f: Formula) -> str:
 
 def _fmt(f: Formula, required: int) -> str:
     """Text of f, parenthesized when it binds looser than level `required`."""
+    # _key holds two facts, then the fields; reading it skips a property call per field.
     binary = _LEVELS.get(type(f))
     if binary is not None:
         level, op, grouping = binary
-        left = _fmt(f.left, level if grouping == "left" else level + 1)
-        text = left + op + _fmt(f.right, level if grouping == "right" else level + 1)
+        left = _fmt(f._key[2], level if grouping == "left" else level + 1)
+        text = left + op + _fmt(f._key[3], level if grouping == "right" else level + 1)
         return f"({text})" if level < required else text
     if isinstance(f, Prop):
-        return f.name
+        return f._key[2]
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Bottom):
         return "false"
-    if isinstance(f, Not) and isinstance(f.child, Necessity) and isinstance(f.child.child, Not):
-        head, f = "<N> ", f.child.child
+    if not isinstance(f, (Not, Necessity, Blame)):
+        raise TypeError(f"not a formula: {f!r}")
+    k = f._key  # the child is the last field
+    if isinstance(f, Not) and isinstance(k[2], Necessity) and isinstance(k[2]._key[2], Not):
+        head, k = "<N> ", k[2]._key[2]._key
     elif isinstance(f, Not):
         head = "!"
     elif isinstance(f, Necessity):
         head = "N "
-    elif isinstance(f, Blame):
-        head = "B{" + ",".join(f.coalition.members) + "} "
     else:
-        raise TypeError(f"not a formula: {f!r}")
-    return head + _fmt(f.child, _UNARY)
+        head = "B{" + ",".join(k[2].members) + "} "
+    return head + _fmt(k[-1], _UNARY)

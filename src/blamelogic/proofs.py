@@ -12,9 +12,8 @@ side.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from importlib import resources
-from typing import Callable, Mapping
 
 from .formula import (
     And,
@@ -25,6 +24,7 @@ from .formula import (
     Necessity,
     Not,
     Or,
+    _Record,
     possibly,
     truth_mask,
 )
@@ -62,12 +62,9 @@ class AtomLimitError(ValueError):
     """Tautology check refused: too many distinct atoms."""
 
 
-@dataclass(frozen=True)
-class Schema:
-    name: str
-    metavars: tuple[str, ...]
-    side_condition: str | None  # None or a key of _SIDE_CONDITIONS
-    build: Callable[..., Formula]
+class Schema(_Record):
+    __slots__ = ("name", "metavars", "side_condition", "build")
+    # side_condition is None or a key of _SIDE_CONDITIONS; build makes the instance
 
 
 def _truth_n(phi: Formula) -> Formula:
@@ -194,34 +191,24 @@ def is_tautology(f: Formula) -> bool:
     return truth_mask(f, full, masks.__getitem__, {}) == full
 
 
-@dataclass(frozen=True)
-class Justification:
+class Justification(_Record):
     """One line's rule.  References are 1-based, as in script files:
     hyp refers into the hypothesis list, mp/nec into earlier lines."""
 
-    kind: str  # "hyp" | "taut" | "axiom" | "mp" | "nec"
-    refs: tuple[int, ...] = ()
-    name: str | None = None
-    subst: Mapping[str, object] | None = None
+    __slots__ = ("kind", "refs", "name", "subst")  # kind: hyp, taut, axiom, mp or nec
+    _defaults = ((), None, None)
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    formula: Formula
-    just: Justification
+class ProofLine(_Record):
+    __slots__ = ("formula", "just")
 
 
-@dataclass(frozen=True)
-class Proof:
-    hypotheses: tuple[Formula, ...]
-    claim: Formula
-    lines: tuple[ProofLine, ...]
+class Proof(_Record):
+    __slots__ = ("hypotheses", "claim", "lines")
 
 
-@dataclass(frozen=True)
-class ProofFailure:
-    line: int  # 1-based; 0 when the proof as a whole is malformed
-    reason: str
+class ProofFailure(_Record):
+    __slots__ = ("line", "reason")  # line is 1-based; 0 when the proof as a whole is malformed
 
     def __str__(self) -> str:
         return f"line {self.line}: {self.reason}" if self.line else self.reason

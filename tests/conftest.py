@@ -18,6 +18,12 @@ LOPEZ_DOC = (
 )
 
 
+def replace(record, **changes):
+    """A copy of a package record with the given fields changed."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
+
+
 def canonical_lopez_bytes():
     return resources.files("blamelogic").joinpath("data/lopez.json").read_bytes()
 

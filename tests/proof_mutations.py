@@ -7,10 +7,9 @@ swapped mp would need a formula to contain itself, a duplicated
 coalition breaks the disjointness side condition, and so on.
 """
 
-from dataclasses import replace
-
 from blamelogic import Not
 from blamelogic.proofs import Proof, ProofLine, instantiate_schema
+from conftest import replace
 
 
 def _with_line(proof: Proof, index: int, line: ProofLine) -> Proof:

@@ -5,7 +5,6 @@ The sweep corpus (criterion 1) is shared by the cross-checks in criteria
 """
 
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -115,7 +114,7 @@ def test_criterion_5_s5_block(sweep_corpus):
     checked = 0
     for game in sweep_corpus:
         for _ in range(3):
-            phi = random_formula(replace(SWEEP_PARAMS, seed=rng.next64()), game)
+            phi = random_formula(conftest.replace(SWEEP_PARAMS, seed=rng.next64()), game)
             box = Necessity(phi)
             for inst in (
                 Implies(box, phi),
@@ -132,7 +131,7 @@ def test_criterion_6_fairness_invariance(sweep_corpus):
     done = 0
     while done < 200:
         game = sweep_corpus[rng.below(len(sweep_corpus))]
-        phi = random_formula(replace(SWEEP_PARAMS, seed=rng.next64()), game)
+        phi = random_formula(conftest.replace(SWEEP_PARAMS, seed=rng.next64()), game)
         coalition = Coalition(rng.subset(game.agents))
         phi_truth = evaluate_all(game, phi).truth
         blame_truth = evaluate_all(game, Blame(coalition, phi)).truth
@@ -151,7 +150,7 @@ def test_criterion_7_oracle_equivalence():
     rng = SplitMix64(params.seed + 7)
     for game in games:
         for _ in range(50):
-            f = random_formula(replace(params, seed=rng.next64()), game)
+            f = random_formula(conftest.replace(params, seed=rng.next64()), game)
             cached = evaluate_all(game, f).truth
             naive = tuple(satisfies(game, i, f) for i in range(len(game.plays)))
             assert cached == naive, format_formula(f)

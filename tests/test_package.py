@@ -107,3 +107,18 @@ def test_each_subcommand_loads_the_modules_it_runs(lopez_file, command):
         f"print(json.dumps([code, {LOADED}]))"
     )
     assert (code, modules) == (0, loaded)
+
+
+def test_no_command_loads_dataclasses_or_inspect(lopez_file):
+    runs = [
+        [command] + [str(lopez_file) if a == "GAME" else a for a in args]
+        for command, (args, _) in RUNS.items()
+    ]
+    codes, heavy = fresh(
+        "import contextlib, io, json, sys\n"
+        "from blamelogic.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))"
+    )
+    assert (codes, heavy) == ([0] * len(RUNS), [])
