@@ -105,10 +105,6 @@ class BlameReport(_Record):
         }
 
 
-def _space(g: Game, coalition: Coalition) -> int:
-    return len(g.actions) ** len(coalition)
-
-
 def _precheck(g: Game, f: Formula, cap: int, extra: Coalition | None = None) -> None:
     # Check every B node up front so both evaluation routes fail alike,
     # regardless of short-circuiting.  The walk reports an unknown agent
@@ -126,8 +122,8 @@ def _precheck(g: Game, f: Formula, cap: int, extra: Coalition | None = None) -> 
     if unknown:
         raise ValueError(f"agents not in the game: {sorted(unknown)}")
     for c in coalitions:
-        if len(c) and _space(g, c) > cap:
-            raise StrategySpaceError(c, _space(g, c), cap)
+        if len(c) and (space := len(g.actions) ** len(c)) > cap:
+            raise StrategySpaceError(c, space, cap)
 
 
 def _check_play_index(g: Game, play_index: int) -> None:

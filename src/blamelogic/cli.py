@@ -99,6 +99,32 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
     return 0
 
 
+_GAME = ("--game", {"required": True, "metavar": "FILE"})
+_PLAY = ("--play", {"required": True, "type": int, "metavar": "INDEX"})
+_FORMULA = ("--formula", {"required": True, "metavar": "TEXT"})
+
+# Each subcommand: name, help, handler and its arguments as (flag, options).
+_COMMANDS = (
+    ("check", "evaluate a formula at one play", _cmd_check, (_GAME, _PLAY, _FORMULA)),
+    ("valid", "check a formula at every play", _cmd_valid, (_GAME, _FORMULA)),
+    ("blame", "report blamable coalitions at one play", _cmd_blame, (
+        _GAME, _PLAY, _FORMULA,
+        ("--max-size", {"type": int, "metavar": "K",
+                        "help": "largest coalition size to report (default: every agent)"}),
+    )),
+    ("proof", "check a proof script", _cmd_proof, (
+        ("file", {"nargs": "?", "metavar": "FILE"}),
+        ("--bundled", {"metavar": "NAME"}),
+    )),
+    ("fuzz", "run a soundness sweep over random games", _cmd_fuzz, (
+        ("--seed", {"required": True, "type": int, "metavar": "S"}),
+        ("--games", {"required": True, "type": int, "metavar": "N"}),
+        ("--instances", {"type": int, "default": 20, "metavar": "M"}),
+    )),
+    ("fmt", "print a formula in canonical form", _cmd_fmt, (_FORMULA,)),
+)  # fmt: skip
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blamelogic",
@@ -107,46 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="evaluate a formula at one play")
-    p.add_argument("--game", required=True, metavar="FILE")
-    p.add_argument("--play", required=True, type=int, metavar="INDEX")
-    p.add_argument("--formula", required=True, metavar="TEXT")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("valid", help="check a formula at every play")
-    p.add_argument("--game", required=True, metavar="FILE")
-    p.add_argument("--formula", required=True, metavar="TEXT")
-    p.set_defaults(func=_cmd_valid)
-
-    p = sub.add_parser("blame", help="report blamable coalitions at one play")
-    p.add_argument("--game", required=True, metavar="FILE")
-    p.add_argument("--play", required=True, type=int, metavar="INDEX")
-    p.add_argument("--formula", required=True, metavar="TEXT")
-    p.add_argument(
-        "--max-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help="largest coalition size to report (default: every agent)",
-    )
-    p.set_defaults(func=_cmd_blame)
-
-    p = sub.add_parser("proof", help="check a proof script")
-    p.add_argument("file", nargs="?", metavar="FILE")
-    p.add_argument("--bundled", metavar="NAME")
-    p.set_defaults(func=_cmd_proof)
-
-    p = sub.add_parser("fuzz", help="run a soundness sweep over random games")
-    p.add_argument("--seed", required=True, type=int, metavar="S")
-    p.add_argument("--games", required=True, type=int, metavar="N")
-    p.add_argument("--instances", type=int, default=20, metavar="M")
-    p.set_defaults(func=_cmd_fuzz)
-
-    p = sub.add_parser("fmt", help="print a formula in canonical form")
-    p.add_argument("--formula", required=True, metavar="TEXT")
-    p.set_defaults(func=_cmd_fmt)
-
+    for name, summary, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 

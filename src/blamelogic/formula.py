@@ -30,7 +30,6 @@ __all__ = [
     "Or",
     "Iff",
     "possibly",
-    "agents_mentioned",
 ]
 
 _IDENT = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -338,8 +337,3 @@ def blame_nodes(f: Formula) -> Iterator[Blame]:
         if isinstance(node, Blame):
             yield node
         stack.extend(c for c in node._key[2:] if isinstance(c, Formula))
-
-
-def agents_mentioned(f: Formula) -> set[str]:
-    """Union of all Blame coalitions in the tree."""
-    return set(f.agents)

@@ -44,9 +44,6 @@ class Play(_Record):
     def __init__(self, profile: Mapping[str, str], outcome: str) -> None:
         self._fill(dict(profile), outcome)
 
-    def _key(self) -> tuple:
-        return (tuple(sorted(self.profile.items())), self.outcome)
-
 
 class Game(_Record):
     __slots__ = ("agents", "actions", "outcomes", "plays", "valuation")
@@ -120,7 +117,7 @@ def validate(g: Game) -> list[str]:
                 out.append(f"play {i}: action {x!r} not listed")
         if play.outcome not in outcome_set:
             out.append(f"play {i}: outcome {play.outcome!r} not listed")
-        key = play._key()
+        key = (tuple(sorted(play.profile.items())), play.outcome)
         if key in seen_plays:
             out.append(f"duplicate play {i}")
         seen_plays.add(key)

@@ -148,29 +148,26 @@ def _draw(seed: int, depth: int, game: Game) -> Formula:
     return _formula(SplitMix64(seed), depth, sorted(game.valuation) or ["p"], game.agents)
 
 
-_LEAVES = ("prop", "prop", "prop", "top", "bottom")
-_NODES = ("prop", "not", "implies", "and", "or", "iff", "nec", "poss", "blame")
-_UNARY = {"not": Not, "nec": Necessity, "poss": possibly}
-_BINARY = {"implies": Implies, "and": And, "or": Or, "iff": Iff}
+_LEAVES = (Prop, Prop, Prop, Top, Bottom)
+_NODES = (Prop, Not, Implies, And, Or, Iff, Necessity, possibly, Blame)
+_BINARY = frozenset({Implies, And, Or, Iff})
 
 
 def _formula(rng: SplitMix64, depth: int, props: list[str], agents: Sequence[str]) -> Formula:
     kind = rng.choice(_LEAVES) if depth <= 0 else rng.choice(_NODES)
-    if kind == "poss" and depth < 3:
-        kind = "not"  # "<N>" desugars to three nodes, so it needs the room
-    if kind == "prop":
+    if kind is possibly and depth < 3:
+        kind = Not  # "<N>" desugars to three nodes, so it needs the room
+    if kind is Prop:
         return Prop(rng.choice(props))
-    if kind == "top":
-        return Top()
-    if kind == "bottom":
-        return Bottom()
+    if kind is Top or kind is Bottom:
+        return kind()
     if kind in _BINARY:
         left = _formula(rng, depth - 1, props, agents)
-        return _BINARY[kind](left, _formula(rng, depth - 1, props, agents))
-    if kind == "blame":
+        return kind(left, _formula(rng, depth - 1, props, agents))
+    if kind is Blame:
         coalition = Coalition(rng.subset(agents))
         return Blame(coalition, _formula(rng, depth - 1, props, agents))
-    return _UNARY[kind](_formula(rng, depth - (3 if kind == "poss" else 1), props, agents))
+    return kind(_formula(rng, depth - (3 if kind is possibly else 1), props, agents))
 
 
 def _corpus_game(params: GenParams, sub_seed: int) -> tuple[Game, SplitMix64]:

@@ -46,7 +46,6 @@ __all__ = [
     "check_proof",
     "load_proof",
     "dump_proof",
-    "bundled_scripts",
     "bundled_script",
     "BUNDLED_NAMES",
 ]
@@ -397,8 +396,3 @@ def bundled_script(name: str) -> Proof:
         raise KeyError(f"no bundled script named {name!r}")
     data = resources.files("blamelogic").joinpath(f"data/proofs/{name}.json").read_bytes()
     return load_proof(data)
-
-
-def bundled_scripts() -> list[tuple[str, Proof]]:
-    """All shipped scripts; every one passes check_proof."""
-    return [(name, bundled_script(name)) for name in BUNDLED_NAMES]

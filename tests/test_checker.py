@@ -396,3 +396,24 @@ class TestCoalitionCountGuard:
         assert blamable_coalitions(g, 0, parse("p"), 0).entries == ()
         # one action: the grand coalition cannot prevent p, so nothing can
         assert blamable_coalitions(self.game(40, ("x",)), 0, parse("p"), 10).entries == ()
+
+
+class TestStrategySpaceGuard:
+    """The per-size strategy-space check, which runs before the empty-report exits."""
+
+    GAME = Game(("c", "a", "b"), ("x", "y"), ("o",),
+                (Play(dict.fromkeys("abc", "x"), "o"), Play(dict.fromkeys("abc", "y"), "o")),
+                {"p": frozenset({0})})  # fmt: skip
+
+    @pytest.mark.parametrize("play", [0, 1])  # p holds at play 0 only
+    def test_a_size_over_the_cap_raises_at_any_play(self, play):
+        with pytest.raises(StrategySpaceError) as caught:
+            blamable_coalitions(self.GAME, play, parse("p"), 3, cap=4)
+        assert str(caught.value) == (
+            "strategy space for coalition {a,b,c} has 8 elements, over the cap 4"
+        )
+
+    def test_sizes_under_the_cap_leave_the_count_guard(self):
+        with pytest.raises(CoalitionCountError) as caught:
+            blamable_coalitions(self.GAME, 0, parse("p"), 2, cap=4)
+        assert str(caught.value) == "6 coalitions of up to 2 agents, over the cap 4"

@@ -16,10 +16,10 @@ from blamelogic import (
     Or,
     Prop,
     Top,
-    agents_mentioned,
     possibly,
 )
 from blamelogic.formula import Bottom, check_ident, is_ident, truth_mask
+from blamelogic.game import Game, Play
 from blamelogic.generate import GenParams, SplitMix64, _sample_subst, corpus_games, random_formula
 from blamelogic.proofs import BUNDLED_NAMES, SCHEMAS, bundled_script, instantiate_schema
 
@@ -134,8 +134,8 @@ def test_truth_mask_folds_connectives_and_asks_atom_for_the_rest():
 def test_agents_mentioned():
     p = Prop("p")
     f = Implies(Blame(["a", "b"], Blame(["c"], p)), Necessity(Blame([], p)))
-    assert agents_mentioned(f) == {"a", "b", "c"}
-    assert agents_mentioned(Necessity(p)) == set()
+    assert f.agents == {"a", "b", "c"}
+    assert Necessity(p).agents == set()
 
 
 def every_node():
@@ -212,6 +212,28 @@ class TestNodeContract:
         with pytest.raises(TypeError, match="not a formula: "):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            Not,
+            Necessity,
+            lambda c: Blame([], c),
+            lambda c: And(Prop("p"), c),
+            lambda c: Iff(c, Prop("p")),
+        ],
+        ids=["Not", "Necessity", "Blame", "And", "Iff"],
+    )
+    @pytest.mark.parametrize(
+        "child",
+        [Play({"a": "x"}, "o"), Game(("a",), ("x",), ("o",))],
+        ids=["Play", "Game"],
+    )
+    def test_record_child_is_a_type_error(self, build, child):
+        # Records are not formulas either, and the message shows which one came.
+        with pytest.raises(TypeError) as caught:
+            build(child)
+        assert str(caught.value).startswith(f"not a formula: {type(child).__name__}(")
+
 
 def reference_facts(f):
     """(agents, widest) by a walk over the public fields, independent of the facts."""
@@ -241,6 +263,5 @@ def test_facts_match_a_walk_on_the_acceptance_corpus():
     for f in formulas:
         agents, widest = reference_facts(f)
         assert f.agents == agents and f.widest == widest, f
-        assert agents_mentioned(f) == agents
         with_blame += widest > 0
     assert with_blame > len(formulas) // 4  # the corpus does exercise the facts

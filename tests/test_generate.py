@@ -9,7 +9,6 @@ from blamelogic import (
     Not,
     Prop,
     Top,
-    agents_mentioned,
     evaluate_all,
     save,
     validate,
@@ -149,7 +148,7 @@ class TestRandomFormula:
             f = random_formula(params, g)
             assert f == random_formula(params, g)
             assert _depth(f) <= 4
-            assert agents_mentioned(f) <= set(g.agents)
+            assert f.agents <= set(g.agents)
 
     def test_depth_zero_is_a_leaf(self):
         g = random_game(GenParams(seed=1))

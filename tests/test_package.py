@@ -22,8 +22,8 @@ PUBLIC = {
     "Implies", "InstantiationError", "Justification", "Necessity", "Not", "Or",
     "ParseError", "Play", "Proof", "ProofFailure", "ProofFormatError", "ProofLine",
     "Prop", "SCHEMAS", "Schema", "SplitMix64", "Strategy", "StrategySpaceError", "Top",
-    "agents_mentioned", "blamable_coalitions", "blame_witness", "bundled_script",
-    "bundled_scripts", "check_proof", "checker", "corpus_games", "dump_proof",
+    "blamable_coalitions", "blame_witness", "bundled_script", "check_proof",
+    "checker", "corpus_games", "dump_proof",
     "evaluate_all", "format_formula", "formula", "game", "generate",
     "instantiate_schema", "is_tautology", "load", "load_proof", "parse", "parser",
     "possibly", "proofs", "random_formula", "random_game", "satisfies", "save",
