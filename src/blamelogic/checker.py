@@ -189,7 +189,7 @@ def _mask(g: Game, f: Formula, masks: list[list[int]] | None = None) -> int:
             m = 0
             for i in g.valuation.get(node.name, frozenset()):
                 m |= 1 << i
-            return m
+            return m & full  # the fold needs vectors within full
         child = truth_mask(node.child, full, atom, memo)
         if isinstance(node, Necessity):
             return full if child == full else 0

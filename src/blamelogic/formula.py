@@ -289,6 +289,9 @@ def truth_mask(
     computes Not, Implies, And, Or, Iff, Top and Bottom itself and asks
     ``atom(node)`` for every Prop, Necessity and Blame node; ``atom`` may
     fold a node's child through this function with the same memo.
+    Every vector ``atom`` returns must lie within ``full`` (no bit set
+    outside it): negation is ``^ full``, so the result is then exact and
+    within ``full`` too.
     Children are folded left to right, and each node object at most once
     per memo.  ``memo`` maps ``id(node)`` to its vector, so the caller must
     keep every node of ``f`` alive while the memo is in use.  Identity
@@ -316,11 +319,11 @@ def truth_mask(
 # How each connective combines its children's vectors; None marks the
 # nodes the caller's ``atom`` answers for.
 _FOLDS = {
-    Not: lambda full, c: ~c & full,
-    Implies: lambda full, a, b: (~a | b) & full,
+    Not: lambda full, c: c ^ full,
+    Implies: lambda full, a, b: a ^ full | b,
     And: lambda full, a, b: a & b,
     Or: lambda full, a, b: a | b,
-    Iff: lambda full, a, b: ~(a ^ b) & full,
+    Iff: lambda full, a, b: a ^ b ^ full,
     Top: lambda full: full,
     Bottom: lambda full: 0,
     Prop: None,

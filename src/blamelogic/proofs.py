@@ -182,12 +182,17 @@ def is_tautology(f: Formula) -> bool:
         )
     rows = 1 << len(order)
     full = (1 << rows) - 1
-    masks: dict[Formula, int] = {}
-    for atom, i in order.items():
-        # Rows where bit i of the row index is set, as one big bitmask.
-        block = 1 << (1 << i)
-        masks[atom] = full // (block + 1) * block
+    masks = {atom: _column(i, rows) for atom, i in order.items()}
     return truth_mask(f, full, masks.__getitem__, {}) == full
+
+
+def _column(i: int, rows: int) -> int:
+    """Rows whose index has bit ``i`` set: 2^i clear then 2^i set, doubled to ``rows``."""
+    m, span = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+    while span < rows:
+        m |= m << span
+        span *= 2
+    return m
 
 
 class Justification(_Record):

@@ -18,8 +18,15 @@ from blamelogic import (
     satisfies,
     valid_in_game,
 )
-from blamelogic.checker import DEFAULT_STRATEGY_CAP, _precheck
-from blamelogic.generate import GenParams, SplitMix64, corpus_games, random_formula, random_game
+from blamelogic.checker import DEFAULT_STRATEGY_CAP, _mask, _precheck
+from blamelogic.generate import (
+    GenParams,
+    SplitMix64,
+    _draw,
+    corpus_games,
+    random_formula,
+    random_game,
+)
 
 
 def eval_text(game, text):
@@ -222,6 +229,30 @@ class TestSemanticsCorners:
         assert satisfies(g({0, 2}), 0, parse("B{a} p")) is False
         # p on both x-plays changes nothing for y's escape
         assert satisfies(g({0, 1}), 0, parse("B{a} p")) is True
+
+
+class TestStrayValuationBits:
+    """Games built directly, without validate, may name plays that do not exist."""
+
+    @pytest.mark.parametrize("text", ["N (p | !p)", "N p", "!p", "B{a} p", "p -> q"])
+    def test_routes_agree(self, text):
+        g = Game(("a",), ("x",), ("w",), (Play({"a": "x"}, "w"),), {"p": frozenset({0, 5})})
+        f = parse(text)
+        assert evaluate_all(g, f).truth == tuple(satisfies(g, i, f) for i in range(len(g.plays)))
+
+    def test_prop_vectors_are_clipped_before_the_fold(self):
+        # The fold negates with ^ full, so an unclipped stray bit would
+        # leak into the vector of every formula above the Prop.
+        rng = SplitMix64(20261019)
+        for k in range(600):
+            g = splitmix_game(rng, 1 + rng.below(2), 2, 1 + rng.below(12))
+            n = len(g.plays)
+            g = Game(g.agents, g.actions, g.outcomes, g.plays,
+                     {name: ix | {n + rng.below(64)} for name, ix in g.valuation.items()})
+            f = _draw(rng.next64(), k % 5, g)
+            m = _mask(g, f)
+            assert m >> n == 0, (f, n)
+            assert [bool(m >> i & 1) for i in range(n)] == [satisfies(g, i, f) for i in range(n)]
 
 
 def test_routes_agree_on_handwritten_corners(lopez):

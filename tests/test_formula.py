@@ -20,7 +20,14 @@ from blamelogic import (
 )
 from blamelogic.formula import Bottom, check_ident, is_ident, truth_mask
 from blamelogic.game import Game, Play
-from blamelogic.generate import GenParams, SplitMix64, _sample_subst, corpus_games, random_formula
+from blamelogic.generate import (
+    GenParams,
+    SplitMix64,
+    _draw,
+    _sample_subst,
+    corpus_games,
+    random_formula,
+)
 from blamelogic.proofs import BUNDLED_NAMES, SCHEMAS, bundled_script, instantiate_schema
 
 IDENT = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True).filter(
@@ -129,6 +136,39 @@ def test_truth_mask_folds_connectives_and_asks_atom_for_the_rest():
     assert len(asked) == 4
     with pytest.raises(TypeError, match="not a formula"):
         truth_mask(And(p, "q"), 0b1111, atom, {})
+
+
+def rowwise(f, rows, vectors):
+    """Truth of f at each row, one row at a time; atom nodes read ``vectors``."""
+    if f in vectors:
+        return [bool(vectors[f] >> r & 1) for r in range(rows)]
+    if isinstance(f, (Top, Bottom)):
+        return [isinstance(f, Top)] * rows
+    if isinstance(f, Not):
+        return [not a for a in rowwise(f.child, rows, vectors)]
+    a, b = rowwise(f.left, rows, vectors), rowwise(f.right, rows, vectors)
+    connective = {Implies: lambda x, y: not x or y, And: lambda x, y: x and y,
+                  Or: lambda x, y: x or y, Iff: lambda x, y: x == y}[type(f)]
+    return [connective(x, y) for x, y in zip(a, b)]
+
+
+def test_truth_mask_is_exact_on_random_formulas():
+    # Every atom (Prop, N or B node) gets a random vector within full; the
+    # fold must then agree with a row-by-row evaluation and stay within full.
+    game = Game(("a", "b"), ("x",), ("w",), (), {name: frozenset() for name in ("p", "q", "r")})
+    rng = SplitMix64(20261018)
+    for k in range(2400):
+        f = _draw(rng.next64(), k % 6, game)
+        rows = 1 + rng.below(64)
+        full = (1 << rows) - 1
+        vectors = {}
+
+        def atom(node):
+            return vectors.setdefault(node, rng.next64() & full)
+
+        m = truth_mask(f, full, atom, {})
+        assert m & ~full == 0, (f, rows)
+        assert [bool(m >> r & 1) for r in range(rows)] == rowwise(f, rows, vectors), (f, rows)
 
 
 def test_agents_mentioned():

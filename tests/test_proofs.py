@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from blamelogic import (
     And,
     AtomLimitError,
     Coalition,
+    Iff,
     Implies,
     InstantiationError,
     Necessity,
@@ -20,11 +22,13 @@ from blamelogic import (
 )
 from blamelogic.proofs import (
     BUNDLED_NAMES,
+    MAX_TAUTOLOGY_ATOMS,
     Justification,
     Proof,
     ProofFormatError,
     ProofLine,
     SCHEMAS,
+    _column,
     bundled_script,
     dump_proof,
     load_proof,
@@ -132,6 +136,43 @@ class TestTautology:
             is_tautology(wide)
         ok = parse(" | ".join(f"x{i}" for i in range(20)) + " | !x0")
         assert is_tautology(ok)
+
+    def test_atom_columns(self):
+        rng = random.Random(20261018)
+        for n in range(1, MAX_TAUTOLOGY_ATOMS + 1):
+            rows = 1 << n
+            sample = {0, rows - 1, *(rng.randrange(rows) for _ in range(64))}
+            for i in range(n):
+                column = _column(i, rows)
+                assert column.bit_count() == rows // 2
+                assert column >> rows == 0
+                for r in sample:
+                    assert column >> r & 1 == r >> i & 1, (n, i, r)
+                if n <= 12:  # the closed form by division, quadratic in rows
+                    block = 1 << (1 << i)
+                    assert column == ((1 << rows) - 1) // (block + 1) * block
+
+    @pytest.mark.parametrize("atoms", [17, 18, 19, 20])
+    def test_wide_tautologies(self, atoms):
+        # With R any formula and X a conjunction of literals over the first
+        # atoms - 1 atoms, and y the last atom: (R & X) -> (R | y) is valid,
+        # and (R | X) -> y is not (make X true and y false).
+        rng = random.Random(atoms)
+        names = [Prop(f"a{i}") for i in range(atoms - 1)]
+
+        def lit(a):
+            return Not(a) if rng.random() < 0.5 else a
+
+        items = [lit(a) for a in rng.sample(names, len(names))]
+        while len(items) > 1:
+            i = rng.randrange(len(items) - 1)
+            items[i : i + 2] = [rng.choice((And, Or, Implies, Iff))(items[i], items[i + 1])]
+        r, x = items[0], lit(names[0])
+        for a in names[1:]:
+            x = And(x, lit(a))
+        y = Prop(f"a{atoms - 1}")
+        assert is_tautology(Implies(And(r, x), Or(r, y)))
+        assert not is_tautology(Implies(Or(r, x), y))
 
 
 class TestKernel:
