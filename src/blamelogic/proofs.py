@@ -219,7 +219,8 @@ class ProofFailure(_Record):
 
 
 def check_proof(proof: Proof) -> ProofFailure | None:
-    """None when every line checks and the last line is the claim."""
+    """None when every line checks and the last line is the claim.
+    A ``taut`` line over more than MAX_TAUTOLOGY_ATOMS atoms raises AtomLimitError."""
     free: list[bool] = []
     for num, line in enumerate(proof.lines, start=1):
         j = line.just
@@ -233,7 +234,7 @@ def check_proof(proof: Proof) -> ProofFailure | None:
             try:
                 ok = is_tautology(line.formula)
             except AtomLimitError as e:
-                return ProofFailure(num, str(e))
+                raise AtomLimitError(f"line {num}: {e}") from None
             if not ok:
                 return ProofFailure(num, "not a propositional tautology")
             free.append(True)

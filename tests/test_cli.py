@@ -206,6 +206,15 @@ class TestProof:
         assert (code, err) == (1, "")
         assert out == "line 2: necessitation under hypothesis\n"
 
+    def test_atom_cap_is_an_input_error(self, capsys, tmp_path):
+        wide = " | ".join(f"x{i}" for i in range(21)) + " | !x0"
+        doc = {"hypotheses": [], "claim": wide, "lines": [{"formula": wide, "just": {"kind": "taut"}}]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "proof", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: atom-count overflow: 21 distinct atoms, limit 20\n"
+
     def test_malformed_script(self, capsys, tmp_path):
         path = tmp_path / "nojson.json"
         path.write_text("{]")

@@ -180,6 +180,12 @@ class TestKernel:
         failure = check_proof(Proof((), p, ()))
         assert (failure.line, failure.reason) == (0, "empty proof")
 
+    def test_atom_cap_is_an_error_not_a_failure(self):
+        wide = parse(" | ".join(f"x{i}" for i in range(21)) + " | !x0")
+        lines = (ProofLine(parse("p | !p"), Justification("taut")), ProofLine(wide, Justification("taut")))
+        with pytest.raises(AtomLimitError, match="^line 2: atom-count overflow"):
+            check_proof(Proof((), wide, lines))
+
     def test_hypothesis_line(self):
         good = Proof((p,), p, (ProofLine(p, Justification("hyp", (1,))),))
         assert check_proof(good) is None
