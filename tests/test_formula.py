@@ -138,6 +138,14 @@ def test_truth_mask_folds_connectives_and_asks_atom_for_the_rest():
         truth_mask(And(p, "q"), 0b1111, atom, {})
 
 
+ROWWISE = {
+    Implies: lambda x, y: not x or y,
+    And: lambda x, y: x and y,
+    Or: lambda x, y: x or y,
+    Iff: lambda x, y: x == y,
+}
+
+
 def rowwise(f, rows, vectors):
     """Truth of f at each row, one row at a time; atom nodes read ``vectors``."""
     if f in vectors:
@@ -147,9 +155,7 @@ def rowwise(f, rows, vectors):
     if isinstance(f, Not):
         return [not a for a in rowwise(f.child, rows, vectors)]
     a, b = rowwise(f.left, rows, vectors), rowwise(f.right, rows, vectors)
-    connective = {Implies: lambda x, y: not x or y, And: lambda x, y: x and y,
-                  Or: lambda x, y: x or y, Iff: lambda x, y: x == y}[type(f)]
-    return [connective(x, y) for x, y in zip(a, b)]
+    return [ROWWISE[type(f)](x, y) for x, y in zip(a, b)]
 
 
 def test_truth_mask_is_exact_on_random_formulas():
