@@ -187,8 +187,11 @@ def _mask(g: Game, f: Formula, masks: list[list[int]] | None = None) -> int:
         nonlocal masks
         if isinstance(node, Prop):
             m = 0
-            for i in g.valuation.get(node.name, frozenset()):
-                m |= 1 << i
+            try:
+                for i in g.valuation.get(node.name, frozenset()):
+                    m |= 1 << i
+            except ValueError:  # a negative index, which only a Game built without validate has
+                m = sum(1 << i for i in g.valuation[node.name] if i >= 0)
             return m & full  # the fold needs vectors within full
         child = truth_mask(node.child, full, atom, memo)
         if isinstance(node, Necessity):

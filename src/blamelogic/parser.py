@@ -19,6 +19,10 @@ with them.  "<N> f" is input sugar for "!N !f"; the printer restores
 it whenever a subtree has exactly that shape.  Whitespace between
 tokens is insignificant.  Input is ASCII, so reported positions are
 byte offsets.
+
+``parse`` lexes with one ``findall`` and climbs precedence in one loop:
+``binary(level)`` reads a unary operand, then each binary operator of that
+level or tighter.  Only an error re-lexes, with ``_lex``, to find its offset.
 """
 
 from __future__ import annotations
@@ -60,101 +64,119 @@ class ParseError(ValueError):
 _BINARY = (("<->", Iff, None), ("->", Implies, "right"), ("|", Or, "left"), ("&", And, "left"))
 _UNARY = len(_BINARY)
 _LEVELS = {node: (level, f" {op} ", grouping) for level, (op, node, grouping) in enumerate(_BINARY)}
+_INFIX = {op: (level, node, grouping) for level, (op, node, grouping) in enumerate(_BINARY)}
 _PREFIX = {"!": Not, "N": Necessity, "<N>": possibly}
 _CONSTANTS = {"true": Top, "false": Bottom}
 
-# Groups: 1 a symbol, 2 an identifier or keyword, 3 a character that
-# starts no token (a lone "-" or "<" gets a hint at what was meant).
-_TOKEN = re.compile(r"\s*(?:(<->|->|<N>|[(){},!&|NB])|([a-z][A-Za-z0-9_]*)|(\S))")
+# A symbol, an identifier or keyword, or a character that starts no token
+# (a lone "-" or "<" gets a hint at what was meant).  Nothing backtracks.
+_TOKEN = re.compile(r"<->|->|<N>|[(){},!&|NB]|[a-z][A-Za-z0-9_]*|\S")
+_SYMBOLS = frozenset(("<->", "->", "<N>", *"(){},!&|NB"))
 _LEX_EXPECTED = {"-": "'->'", "<": "'<->' or '<N>'"}
+
+# Parentheses nest at most this deep (two stack frames a level), or "formula nested too deeply".
+_MAX_NESTING = 180
+
+
+class _NestingError(ParseError):
+    def __str__(self) -> str:
+        return "formula nested too deeply"
+
+
+def _is_token(token: str) -> bool:
+    return token in _SYMBOLS or "a" <= token[0] <= "z"
 
 
 def _lex(text: str) -> list[tuple[str, int]]:
     """(token, offset) pairs, ending with ("", len(text)) for end of input."""
     tokens = []
     for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        if group == 3:
-            ch = m[3]
-            raise ParseError(m.start(3), _LEX_EXPECTED.get(ch, "a token"), repr(ch))
-        tokens.append((m[group], m.start(group)))
+        token = m[0]
+        if not _is_token(token):
+            raise ParseError(m.start(), _LEX_EXPECTED.get(token, "a token"), repr(token))
+        tokens.append((token, m.start()))
     tokens.append(("", len(text)))
     return tokens
 
 
-def _is_ident(token: str) -> bool:
-    return token[:1].islower() and token not in _CONSTANTS
-
-
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, int]]) -> None:
+    def __init__(self, text: str, tokens: list[str]) -> None:
+        self._text = text
         self._tokens = tokens
-        self._pos = 0
+        self._pos = self._depth = 0
+        self._atoms: dict[str, Formula] = {}
 
-    def _peek(self) -> str:
-        return self._tokens[self._pos][0]
-
-    def _fail(self, expected: str) -> ParseError:
-        token, offset = self._tokens[self._pos]
-        return ParseError(offset, expected, repr(token) if token else "end of input")
+    def _fail(self, expected: str, error: type[ParseError] = ParseError) -> ParseError:
+        token, offset = _lex(self._text)[self._pos]
+        return error(offset, expected, repr(token) if token else "end of input")
 
     def _take(self, token: str, expected: str) -> None:
-        if self._peek() != token:
+        if self._tokens[self._pos] != token:
             raise self._fail(expected)
         self._pos += 1
 
     def _ident(self, expected: str) -> str:
-        token = self._peek()
-        if not _is_ident(token):
+        token = self._tokens[self._pos]
+        if not token[:1].islower() or token in _CONSTANTS:
             raise self._fail(expected)
         self._pos += 1
         return token
 
     def binary(self, level: int) -> Formula:
-        if level == _UNARY:
-            return self.unary()
-        op, node, grouping = _BINARY[level]
-        left = self.binary(level + 1)
-        while self._peek() == op:
+        """A unary operand, then every binary operator of level >= `level`."""
+        left = self.unary()
+        while True:
+            infix = _INFIX.get(self._tokens[self._pos])
+            if infix is None or infix[0] < level:
+                return left
             self._pos += 1
-            if grouping == "right":
-                return node(left, self.binary(level))
-            left = node(left, self.binary(level + 1))
+            op_level, node, grouping = infix
+            left = node(left, self.binary(op_level if grouping == "right" else op_level + 1))
             if grouping is None:
-                break
-        return left
+                return left
 
     def unary(self) -> Formula:
-        token = self._peek()
+        token = self._tokens[self._pos]
         self._pos += 1
+        node = self._atoms.get(token)
+        if node is not None:
+            return node
         if token in _PREFIX:
             return _PREFIX[token](self.unary())
+        if token == "(":
+            if self._depth == _MAX_NESTING:
+                self._pos -= 1
+                raise self._fail(f"at most {_MAX_NESTING} nested parentheses", _NestingError)
+            self._depth += 1
+            inner = self.binary(0)
+            self._take(")", "')'")
+            self._depth -= 1
+            return inner
         if token == "B":
             self._take("{", "'{'")
             members: list[str] = []
-            if self._peek() != "}":
+            if self._tokens[self._pos] != "}":
                 members.append(self._ident("'}'"))
-                while self._peek() == ",":
+                while self._tokens[self._pos] == ",":
                     self._pos += 1
                     members.append(self._ident("an agent id"))
             self._take("}", "'}'")
             return Blame(Coalition(members), self.unary())
-        if token == "(":
-            inner = self.binary(0)
-            self._take(")", "')'")
-            return inner
-        if token in _CONSTANTS:
-            return _CONSTANTS[token]()
-        if _is_ident(token):
-            return Prop(token)
+        if token[:1].islower():  # an identifier or keyword, built once per call
+            node = self._atoms[token] = _CONSTANTS[token]() if token in _CONSTANTS else Prop(token)
+            return node
         self._pos -= 1
         raise self._fail("a formula")
 
 
 def parse(text: str) -> Formula:
-    parser = _Parser(_lex(text))
+    tokens = _TOKEN.findall(text)
+    if not all(map(_is_token, set(tokens))):
+        _lex(text)  # raises at the first character that starts no token
+    tokens.append("")
+    parser = _Parser(text, tokens)
     result = parser.binary(0)
-    if parser._peek():
+    if tokens[parser._pos]:
         raise parser._fail("end of input")
     return result
 

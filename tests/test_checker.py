@@ -240,6 +240,15 @@ class TestStrayValuationBits:
         f = parse(text)
         assert evaluate_all(g, f).truth == tuple(satisfies(g, i, f) for i in range(len(g.plays)))
 
+    @pytest.mark.parametrize("text", ["p", "!p", "N !p", "B{a} p"])
+    def test_negative_indices_name_no_play(self, text):
+        one = Game(("a",), ("x",), ("w",), (Play({"a": "x"}, "w"),), {"p": frozenset({-1})})
+        two = Game(("a",), ("x", "y"), ("w",), (Play({"a": "x"}, "w"), Play({"a": "y"}, "w")),
+                   {"p": frozenset({-2, 1})})  # fmt: skip
+        f = parse(text)
+        for g in (one, two):
+            assert evaluate_all(g, f).truth == tuple(satisfies(g, i, f) for i in range(len(g.plays)))
+
     def test_prop_vectors_are_clipped_before_the_fold(self):
         # The fold negates with ^ full, so an unclipped stray bit would
         # leak into the vector of every formula above the Prop.

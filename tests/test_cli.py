@@ -290,6 +290,17 @@ def test_deep_nesting_is_an_input_error(capsys, lopez_file):
         assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
 
 
+def test_deep_proof_line_is_an_input_error(capsys, tmp_path):
+    deep = "(" * 200 + "p" + ")" * 200
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"hypotheses": [], "claim": "p", "lines": [
+        {"formula": "p | !p", "just": {"kind": "taut"}},
+        {"formula": deep, "just": {"kind": "taut"}},
+    ]}))  # fmt: skip
+    code, out, err = run(capsys, "proof", str(path))
+    assert (code, out, err) == (2, "", "error: line 2: formula nested too deeply\n")
+
+
 def test_deeply_nested_document_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

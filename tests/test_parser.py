@@ -1,6 +1,16 @@
+import hashlib
+import os
+import pickle
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blamelogic
 from blamelogic import (
     And,
     Blame,
@@ -18,6 +28,7 @@ from blamelogic import (
     parse,
     possibly,
 )
+from blamelogic.parser import _MAX_NESTING
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -206,3 +217,110 @@ def test_no_redundant_parens(f):
         except ParseError:
             continue
         assert other != f
+
+
+def test_identifiers_with_uppercase_or_digit_second_character():
+    for name in ("aB", "x_Y9", "pN", "bB1"):
+        assert parse(name) == Prop(name)
+        assert format_formula(parse(name)) == name
+    assert format_formula(parse("B{aB} pN")) == "B{aB} pN"
+    assert parse("B{aB} pN") == Blame(["aB"], Prop("pN"))
+    assert parse("pNq") == Prop("pNq")
+    assert parse("N q") == Necessity(q)
+
+
+_ATOMS = ("p", "q", "aB", "x_Y9", "pN", "true", "false")
+_NOISE = ("<->", "->", "<N>", "(", ")", "{", "}", ",", "!", "&", "|", "N", "B", "p", "a",
+          "-", "<", "$", "A", "1", "\u00e9")  # fmt: skip
+
+
+def _formula_tokens(rng, depth):
+    """Tokens of a random well-formed formula, redundant parentheses included."""
+    if depth == 0 or rng.random() < 0.3:
+        return [rng.choice(_ATOMS)]
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ["(", *_formula_tokens(rng, depth - 1), ")"]
+    if kind == 1:
+        return [rng.choice(("!", "N", "<N>")), *_formula_tokens(rng, depth - 1)]
+    if kind == 2:
+        members = [t for m in rng.sample(("a", "b", "cD"), rng.randrange(3)) for t in (",", m)]
+        return ["B", "{", *members[1:], "}", *_formula_tokens(rng, depth - 1)]
+    op = rng.choice(("<->", "->", "|", "&"))
+    return [*_formula_tokens(rng, depth - 1), op, *_formula_tokens(rng, depth - 1)]
+
+
+def _token_strings(seed, count):
+    """Random formulas, half of them with one to three tokens dropped, added or
+    replaced, joined by random whitespace (none at all merges neighbours)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tokens = _formula_tokens(rng, rng.randrange(5))
+        for _ in range(rng.choice((0, 0, 0, 1, 2, 3))):
+            i = rng.randrange(len(tokens) + 1)
+            edit = rng.randrange(3)
+            if edit == 0 and i < len(tokens):
+                del tokens[i]
+            elif edit == 1:
+                tokens.insert(i, rng.choice(_NOISE))
+            elif i < len(tokens):
+                tokens[i] = rng.choice(_NOISE)
+        yield "".join(t + rng.choice(("", " ", " ", "  ", "\n")) for t in tokens)
+
+
+def test_parser_outcomes_are_pinned():
+    # The printed tree, or the error's (position, expected, found), for 20,000
+    # seeded strings; the digest was taken before the parser was last rewritten.
+    outcomes, parsed = [], 0
+    for text in _token_strings(20260901, 20_000):
+        try:
+            outcomes.append(format_formula(parse(text)))
+            parsed += 1
+        except ParseError as e:
+            outcomes.append(repr((e.position, e.expected, e.found)))
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert (parsed, digest) == (11_537, "e726c557e30e6be0e185d87051e8d3b2886c79ca9967b7a5812439dbc1949e56")
+
+
+def test_nesting_bound():
+    n = _MAX_NESTING
+    assert parse("(" * n + "dead" + ")" * n) == Prop("dead")
+    assert parse("!(" * n + "p" + ")" * n) == parse("!" * n + "p")
+    for text, offset in [("(" * (n + 1) + "p" + ")" * (n + 1), n), (" (" * (n + 1), 2 * n + 1)]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        err = exc.value
+        assert str(err) == "formula nested too deeply"
+        assert (err.position, err.found) == (offset, "'('")
+
+
+def test_prefixes_and_chains_are_not_bounded():
+    # 987 prefixes parse from the top of a fresh interpreter's stack, as before
+    # the bound; here the test's own frames would take part of that stack.
+    code = "from blamelogic import parse; f = parse('!' * 987 + 'p'); print(type(f).__name__)"
+    src = str(Path(blamelogic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "Not\n"), done.stderr
+    chain = parse(" & ".join(["p"] * 5000))
+    assert chain.right == p and chain.left.right == p
+
+
+def test_lexing_is_linear():
+    # A validator that could backtrack would double its time with every
+    # character or two here, and take hours on these inputs.
+    for text in ("a" * 20_000 + "$", "a " * 20_000 + "$"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert time.perf_counter() - start < 1.0
+        assert (exc.value.position, exc.value.found) == (len(text) - 1, "'$'")
+
+
+def test_atoms_are_shared_within_one_parse():
+    f = parse("p & q -> p | true & true")
+    assert f.left.left is f.right.left and f.right.right.left is f.right.right.right
+    built = Implies(And(Prop("p"), Prop("q")), Or(Prop("p"), And(Top(), Top())))
+    assert f == built and hash(f) == hash(built)
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert parse("p") is not parse("p")  # nothing is kept between calls

@@ -14,6 +14,7 @@ from blamelogic import (
     Not,
     Or,
     Prop,
+    ProofFailure,
     check_proof,
     format_formula,
     instantiate_schema,
@@ -218,6 +219,19 @@ class TestKernel:
             ),
         )
         assert check_proof(proof) is None
+
+    @pytest.mark.parametrize("refs", [[1, 9], []])
+    def test_nec_rejects_bad_references(self, refs):
+        script = {
+            "hypotheses": [],
+            "claim": "N (p | !p)",
+            "lines": [
+                {"formula": "p | !p", "just": {"kind": "taut"}},
+                {"formula": "N (p | !p)", "just": {"kind": "nec", "from": refs}},
+            ],
+        }
+        failure = check_proof(load_proof(json.dumps(script)))
+        assert failure == ProofFailure(2, f"bad line reference {refs}")
 
     def test_mp_checks_shape_and_order(self):
         imp = Implies(p, q)
