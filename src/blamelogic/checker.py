@@ -4,10 +4,9 @@ Two routes compute truth values.  ``satisfies`` is the literal recursive
 definition: N re-scans every play, and B enumerates the coalition's
 strategies one by one.  ``evaluate_all`` computes whole truth vectors as
 bitmasks through ``truth_mask``, memoised per node of the formula tree;
-for a B node it ANDs per-(agent, action) play masks into the child's
-vector member by member and stops at the first strategy prefix that no
-child-satisfying play agrees with.  The two routes must agree bit for
-bit, so ``satisfies`` stays deliberately naive as an oracle.
+for a B node it groups the child's plays by the strategy they follow and
+looks for a strategy with none.  The two routes must agree bit for bit,
+so ``satisfies`` stays deliberately naive as an oracle.
 
 Both routes pre-check every B node in the formula for agents the game
 lacks and then against the strategy enumeration cap, so they raise
@@ -65,9 +64,10 @@ class StrategySpaceError(ValueError):
         super().__init__(
             f"strategy space for coalition {coalition} has {size} elements, over the cap {cap}"
         )
-        self.coalition = coalition
-        self.size = size
-        self.cap = cap
+        self.coalition, self.size, self.cap = coalition, size, cap
+
+    def __reduce__(self):
+        return type(self), (self.coalition, self.size, self.cap)
 
 
 class CoalitionCountError(ValueError):
@@ -97,7 +97,7 @@ class BlameReport(_Record):
             "blamable": [
                 {
                     "coalition": list(e.coalition.members),
-                    "witness": {a: e.witness.choice[a] for a in e.witness.coalition},
+                    "witness": dict(e.witness.choice),
                     "minimal": e.minimal,
                 }
                 for e in self.entries
@@ -225,43 +225,50 @@ def _positions(g: Game, coalition: Coalition) -> tuple[int, ...]:
     return tuple(k for k, a in enumerate(g.agents) if a in coalition)
 
 
-def _first_preventer(
-    masks: list[list[int]], order: tuple[int, ...], child: int
-) -> tuple[int, ...] | None:
-    """Lexicographically first preventing strategy, as action indices, or None.
-
-    ``order`` lists the members' agent positions in game agent order.  A
-    strategy prevents the child when no child-satisfying play agrees with
-    it, that is when the AND of the child vector with the members' action
-    masks is 0.  Members are fixed first to last, actions tried in index
-    order; once the AND of a prefix is 0 every extension prevents, and the
-    least of them pads the prefix with action 0.  The descent is a loop,
-    not recursion, because with one action the cap never limits how many
-    members it may have to go through.
-    """
-    rows = [masks[k] for k in order]
-    choice: list[int] = []
-    live = [child]  # live[d]: child ANDed with the masks of choice[:d]
-    while live[-1]:
-        if len(choice) < len(rows):
-            choice.append(0)
-        else:
-            # Every play left agrees with this whole strategy: take the
-            # next action at the deepest member that has one.
-            while choice and choice[-1] + 1 == len(rows[len(choice) - 1]):
-                choice.pop()
-                live.pop()
-            if not choice:
-                return None
-            choice[-1] += 1
-            live.pop()
-        live.append(live[-1] & rows[len(choice) - 1][choice[-1]])
-    return (*choice, *(0,) * (len(rows) - len(choice)))
+def _refine(groups: dict[int, int], row: list[int]) -> dict[int, int]:
+    """Split strategy groups, each a code (first member in game agent order most
+    significant) and the nonzero mask of the child plays that follow it, by one more member."""
+    m = len(row)
+    return {
+        code * m + x: sub
+        for code, plays in groups.items()
+        for x, mask in enumerate(row)
+        if (sub := plays & mask)
+    }
 
 
-def _choice(g: Game, order: tuple[int, ...], choice: tuple[int, ...]) -> dict[str, str]:
-    agents = map(g.agents.__getitem__, order)
-    return dict(zip(agents, map(g.actions.__getitem__, choice)))
+def _first_missing(groups: dict[int, int], row: list[int], space: int) -> int | None:
+    """The least of ``space`` codes with no group once ``row`` refines ``groups``, or None:
+    the first strategy that no child play follows.  The scan stops at the first gap."""
+    m, expected = len(row), 0
+    for code, plays in groups.items():
+        code *= m
+        if code != expected:
+            return expected
+        for x, mask in enumerate(row):
+            if not plays & mask:
+                return code + x
+        expected = code + m
+    return expected if expected < space else None
+
+
+def _first_preventer(masks: list[list[int]], order: tuple[int, ...], child: int) -> int | None:
+    """The code of the first strategy of the members at ``order`` that prevents a nonzero child."""
+    groups = {0: child}
+    for k in order[:-1]:
+        groups = _refine(groups, masks[k])
+    return _first_missing(groups, masks[order[-1]], len(masks[0]) ** len(order)) if order else None
+
+
+def _choice(g: Game, bits: int, code: int) -> dict[str, str]:
+    """The strategy with this code for the agents at the set bits, keyed in id order."""
+    picks = []
+    while bits:  # the last agent in game order is the least significant digit
+        k = bits.bit_length() - 1
+        code, x = divmod(code, len(g.actions))
+        picks.append((g.agents[k], g.actions[x]))
+        bits ^= 1 << k
+    return dict(sorted(picks))
 
 
 def blame_witness(
@@ -275,7 +282,7 @@ def blame_witness(
     """A preventing strategy for the coalition, when it is blamable here.
 
     The strategy is the lexicographically first one, with members in game
-    agent order and actions in listed order.
+    agent order and actions in listed order; its choice is in member order.
     """
     _check_play_index(g, play_index)
     _precheck(g, f, cap, extra=coalition)
@@ -284,8 +291,9 @@ def blame_witness(
     if not child >> play_index & 1:
         return None
     order = _positions(g, coalition)
-    choice = _first_preventer(masks, order, child)
-    return None if choice is None else Strategy(coalition, _choice(g, order, choice))
+    code = _first_preventer(masks, order, child)
+    bits = sum(1 << k for k in order)
+    return None if code is None else Strategy(coalition, _choice(g, bits, code))
 
 
 def blamable_coalitions(
@@ -322,34 +330,50 @@ def blamable_coalitions(
 
     masks = _action_masks(g)
     child = _mask(g, f, masks)
-    entries: list[BlameEntry] = []
-    if max_size and child >> play_index & 1:
-        # Each agent as (id, game position, bit); a coalition's bits sum
-        # to the key it is stored under in ``blamable``.
-        agents = sorted((a, k, 1 << k) for k, a in enumerate(g.agents))
-        for a, _, _ in agents:
-            check_ident(a, "agent id")
-        if _first_preventer(masks, tuple(range(len(g.agents))), child) is None:
-            return BlameReport(play_index, f, max_size, ())
-        count = sum(comb(len(agents), size) for size in range(1, max_size + 1))
-        if count > cap:
-            raise CoalitionCountError(
-                f"{count} coalitions of up to {max_size} agents, over the cap {cap}"
+    if not (max_size and child >> play_index & 1):
+        return BlameReport(play_index, f, max_size, ())
+    agents = sorted((a, k) for k, a in enumerate(g.agents))
+    for a, _ in agents:
+        check_ident(a, "agent id")
+    n, m = len(g.agents), len(g.actions)
+    if _first_preventer(masks, tuple(range(n)), child) is None:
+        return BlameReport(play_index, f, max_size, ())
+    if (count := sum(comb(n, size) for size in range(1, max_size + 1))) > cap:
+        raise CoalitionCountError(
+            f"{count} coalitions of up to {max_size} agents, over the cap {cap}"
+        )
+
+    # One walk: each coalition is its parent plus an agent later in game
+    # order, and its groups refine the parent's.  Where code 0 prevents, it
+    # prevents for every extension, so a coalition not recorded has code 0.
+    # The recursion is at most max_size deep, and 2**max_size - 1 <= count <= cap.
+    codes: dict[int, int | None] = {}  # coalition bits (1 << game position) -> code or None
+
+    def walk(bits: int, groups: dict[int, int], start: int, space: int, depth: int) -> None:
+        space *= m
+        for k in range(start, n):
+            code = _first_missing(groups, masks[k], space)
+            if code != 0:
+                codes[bits | 1 << k] = code
+                if depth < max_size and k + 1 < n:
+                    walk(bits | 1 << k, _refine(groups, masks[k]), k + 1, space, depth + 1)
+
+    walk(0, {0: child}, 0, 1, 1)
+    # Entries in report order: by size, then member ids.
+    ids, weights = [a for a, _ in agents], [1 << k for _, k in agents]
+    singles = sum(w for w in weights if codes.get(w, 0) is not None)
+    first, entries = g.actions[0], []
+    for size in range(1, max_size + 1):
+        for members, picked in zip(combinations(ids, size), combinations(weights, size)):
+            bits = sum(picked)
+            if (code := codes.get(bits, 0)) is None:
+                continue
+            coalition = Coalition._canonical(members)
+            choice = _choice(g, bits, code) if code else dict.fromkeys(members, first)
+            minimal = size == 1 or not bits & singles and all(
+                codes.get(bits ^ w, 0) is None for w in picked
             )
-        blamable: set[int] = set()
-        for size in range(1, max_size + 1):
-            for picked in combinations(agents, size):
-                members, spots, weights = zip(*picked)
-                order = tuple(sorted(spots))
-                choice = _first_preventer(masks, order, child)
-                if choice is None:
-                    continue
-                bits = sum(weights)
-                blamable.add(bits)
-                coalition = Coalition._canonical(members)
-                minimal = blamable.isdisjoint([bits ^ w for w in weights])
-                witness = Strategy._canonical(coalition, _choice(g, order, choice))
-                entries.append(BlameEntry(coalition, witness, minimal))
+            entries.append(BlameEntry(coalition, Strategy._canonical(coalition, choice), minimal))
     return BlameReport(play_index, f, max_size, tuple(entries))
 
 

@@ -37,6 +37,9 @@ class GameValidationError(ValueError):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
 
+    def __reduce__(self):
+        return type(self), (self.violations,)
+
 
 class Play(_Record):
     __slots__ = ("profile", "outcome")

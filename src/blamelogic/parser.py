@@ -53,9 +53,10 @@ class ParseError(ValueError):
 
     def __init__(self, position: int, expected: str, found: str) -> None:
         super().__init__(f"at offset {position}: expected {expected}, found {found}")
-        self.position = position
-        self.expected = expected
-        self.found = found
+        self.position, self.expected, self.found = position, expected, found
+
+    def __reduce__(self):  # args hold only the message
+        return type(self), (self.position, self.expected, self.found)
 
 
 # The binary connectives, loosest first: token, node type, and the side

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import time
 
 import pytest
@@ -324,15 +326,29 @@ def splitmix_game(rng, n_agents, n_actions, n_plays):
     return Game(agents, actions, tuple(f"o{j}" for j in range(n_plays)), plays, val)
 
 
+def bench_game(rng, n_agents, n_actions, n_plays, n_p0):
+    """A splitmix_game with p0 at n_p0 plays and its agents listed out of id order."""
+    g = splitmix_game(rng, n_agents, n_actions, n_plays)
+    agents = tuple(rng.sample(g.agents, n_agents))
+    p0 = frozenset(rng.sample(range(n_plays), n_p0))
+    return Game(agents, g.actions, g.outcomes, g.plays, {**g.valuation, "p0": p0})
+
+
 def test_blame_search_matches_the_definitions():
     rng = SplitMix64(20261018)
     params = GenParams(seed=rng.next64(), n_agents=4, n_actions=3, n_plays=12, formula_depth=3)
     games = corpus_games(params, 12)
     games += [splitmix_game(rng, 6, 2, 10), splitmix_game(rng, 5, 3, 14)]
+    # Shaped like the blame bench's games, and searched for p0 alone: p0 at
+    # one play, at three, at nine in ten.
+    bench = SplitMix64(20261019)
+    shaped = [bench_game(bench, *shape) for shape in ((8, 2, 24, 1), (7, 3, 30, 3), (7, 2, 30, 27))]
     false_plays = 0
-    for g in games:
-        formulas = [parse("p0"), parse("p0 | p1")]
-        formulas.append(random_formula(GenParams(seed=rng.next64(), formula_depth=3), g))
+    for g, every_formula in [(g, True) for g in games] + [(g, False) for g in shaped]:
+        formulas = [parse("p0")]
+        if every_formula:
+            formulas.append(parse("p0 | p1"))
+            formulas.append(random_formula(GenParams(seed=rng.next64(), formula_depth=3), g))
         for f in formulas:
             for play in range(len(g.plays)):
                 false_plays += not satisfies(g, play, f)
@@ -343,6 +359,26 @@ def test_blame_search_matches_the_definitions():
                 for members, choice, _ in got:
                     assert blame_witness(g, play, Coalition(members), f).choice == choice
     assert false_plays  # the empty report for a false formula is covered too
+
+
+def test_blame_reports_are_pinned():
+    # The CLI's JSON for a 10-agent game with p0 at one play, a 6-agent game at
+    # every max_size, and bench-shaped games with agents out of id order; the
+    # digest was taken before the blame search was last rewritten.
+    rng = SplitMix64(20261021)
+    p0, either = parse("p0"), parse("p0 | p1")
+    six = bench_game(rng, 6, 3, 40, 20)
+    cases = [(bench_game(rng, 10, 2, 32, 1), None, p0)]
+    cases += [(six, k, f) for k in range(7) for f in (p0, either)]
+    cases += [(bench_game(rng, *shape), None, p0) for shape in ((8, 3, 60, 3), (8, 2, 30, 27))]
+    digest, entries = hashlib.sha256(), 0
+    for g, max_size, f in cases:
+        for play in range(len(g.plays)):
+            report = blamable_coalitions(g, play, f, max_size)
+            digest.update(json.dumps(report.as_dict(), indent=2).encode())
+            entries += len(report.entries)
+    pinned = "776a20db861e0bcb589cf97cd933a3a3c9b67512c82dd692db160b3ad158a140"
+    assert (entries, digest.hexdigest()) == (15_008, pinned)
 
 
 def test_blame_search_one_action_many_agents():

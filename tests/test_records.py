@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import importlib
 import pickle
 
 import pytest
@@ -22,6 +23,12 @@ from blamelogic import (
     Prop,
     Schema,
     Strategy,
+    blamable_coalitions,
+    instantiate_schema,
+    is_tautology,
+    load,
+    load_proof,
+    parse,
 )
 
 HIDE = {"lopez": "hide"}
@@ -154,3 +161,48 @@ def test_record_coercions():
 def test_record_validation(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+MODULES = ("checker", "cli", "formula", "game", "generate", "parser", "proofs")
+
+
+def _exception_classes():
+    modules = [importlib.import_module(f"blamelogic.{name}") for name in MODULES]
+    return sorted(
+        (value for m in modules for value in vars(m).values()
+         if isinstance(value, type) and issubclass(value, BaseException)
+         and value.__module__ == m.__name__),
+        key=lambda cls: cls.__name__,
+    )  # fmt: skip
+
+
+LOPEZ_DOC = (
+    '{"agents": ["lopez"], "actions": ["hide"], "outcomes": ["o"], "plays": [], "valuation": {}}'
+)
+THREE = Game(["a", "b", "c"], ["x", "y"], ["o"], [Play(dict.fromkeys("abc", "x"), "o")], {"p": [0]})
+# One call per exception class the package defines, raising it as users meet it.
+RAISE = {
+    "AtomLimitError": lambda: is_tautology(parse(" & ".join(f"p{i}" for i in range(21)))),
+    "CoalitionCountError": lambda: blamable_coalitions(THREE, 0, parse("p"), 2, cap=4),
+    "GameFormatError": lambda: load("[]"),
+    "GameValidationError": lambda: load(LOPEZ_DOC.replace('"hide"', '"hide", "hide", ""')),
+    "InstantiationError": lambda: instantiate_schema("TruthN", {}),
+    "ParseError": lambda: parse("p &"),
+    "ProofFormatError": lambda: load_proof('{"claim": 1}'),
+    "StrategySpaceError": lambda: blamable_coalitions(THREE, 0, parse("p"), cap=1),
+    "_NestingError": lambda: parse("(" * 200 + "p"),
+}
+
+
+@pytest.mark.parametrize("cls", _exception_classes(), ids=lambda cls: cls.__name__)
+def test_exceptions_pickle(cls):
+    # A pickled error, as a process pool sends it back, keeps its class,
+    # message and attributes.
+    with pytest.raises(cls) as info:
+        RAISE[cls.__name__]()
+    error = info.value
+    assert type(error) is cls
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(error, protocol))
+        assert type(back) is cls and str(back) == str(error)
+        assert back.args == error.args and vars(back) == vars(error)
