@@ -319,7 +319,7 @@ def blamable_coalitions(
     """
     if max_size is None:
         max_size = len(g.agents)
-    if not 0 <= max_size <= len(g.agents):
+    if type(max_size) is not int or not 0 <= max_size <= len(g.agents):
         raise ValueError(f"max_size {max_size} out of range for {len(g.agents)} agents")
     _check_play_index(g, play_index)
     _precheck(g, f, cap)
@@ -333,8 +333,11 @@ def blamable_coalitions(
     if not (max_size and child >> play_index & 1):
         return BlameReport(play_index, f, max_size, ())
     agents = sorted((a, k) for k, a in enumerate(g.agents))
-    for a, _ in agents:
+    ids = [a for a, _ in agents]
+    for a, before in zip(ids, [None, *ids]):  # Coalition._canonical below trusts these
         check_ident(a, "agent id")
+        if a == before:
+            raise ValueError(f"duplicate agent {a!r}")
     n, m = len(g.agents), len(g.actions)
     if _first_preventer(masks, tuple(range(n)), child) is None:
         return BlameReport(play_index, f, max_size, ())
@@ -360,7 +363,7 @@ def blamable_coalitions(
 
     walk(0, {0: child}, 0, 1, 1)
     # Entries in report order: by size, then member ids.
-    ids, weights = [a for a, _ in agents], [1 << k for _, k in agents]
+    weights = [1 << k for _, k in agents]
     singles = sum(w for w in weights if codes.get(w, 0) is not None)
     first, entries = g.actions[0], []
     for size in range(1, max_size + 1):
@@ -379,8 +382,6 @@ def blamable_coalitions(
 
 def valid_in_game(g: Game, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> int | None:
     """None when the formula holds at every play, else the least failing index."""
-    table = evaluate_all(g, f, cap=cap)
-    for i, value in enumerate(table.truth):
-        if not value:
-            return i
-    return None
+    _precheck(g, f, cap)
+    failing = _mask(g, f) ^ ((1 << len(g.plays)) - 1)  # the mask lies within the plays
+    return (failing & -failing).bit_length() - 1 if failing else None

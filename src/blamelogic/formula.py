@@ -51,22 +51,57 @@ def check_ident(name: str, role: str = "identifier") -> str:
     return name
 
 
-class _Record:
-    """Base of the package's records: immutable values with ``__slots__``.
+def _frozen(self, name: str, *value: object) -> None:
+    """A record's ``__setattr__`` and ``__delattr__``: both refuse."""
+    # The error class is imported only when raised: its module costs 14 ms to load.
+    from dataclasses import FrozenInstanceError
 
-    The fields are the ``__slots__``, compared (within one class), hashed,
-    printed and pickled as a tuple, and frozen.  ``_fill`` sets them in order
-    and is the ``__init__`` of a record without one, ``_defaults`` last.
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+class _Value:
+    """Base of the package's immutable values: records and formula nodes.
+
+    A value's ``_key`` holds ``_facts`` facts derived from its fields, then
+    the fields named in ``_fields``.  It compares (within one class) and
+    hashes by ``_key``, and prints and pickles by its fields.
+    """
+
+    __slots__ = ()
+    _facts = 0
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{k}={v!r}" for k, v in zip(self._fields, self._key[self._facts:])])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key[self._facts:]
+
+
+class _Record(_Value):
+    """Base of the package's records: one slot per field, frozen.
+
+    The fields are the ``__slots__``.  ``_fill`` sets them in order and is
+    the ``__init__`` of a record without one, ``_defaults`` last.
     """
 
     __slots__ = ()
     _defaults: tuple = ()
+    __setattr__ = __delattr__ = _frozen
 
     def __init_subclass__(cls) -> None:
-        names = cls.__slots__
+        names = cls._fields = cls.__slots__
         # attrgetter reads the slots at C level; of one name it gives the bare value.
         get = attrgetter(*names)
-        cls._values = property(get if len(names) > 1 else lambda self: (get(self),))
+        cls._key = property(get if len(names) > 1 else lambda self: (get(self),))
         # Written out, as dataclasses does, to cost one call per field and no loop.
         body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
         scope = {"_set": object.__setattr__}
@@ -75,32 +110,6 @@ class _Record:
         fill.__defaults__, fill.__qualname__ = cls._defaults, f"{cls.__qualname__}.__init__"
         if "__init__" not in vars(cls):
             cls.__init__ = cls._fill
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __repr__(self) -> str:
-        fields = ", ".join([f"{k}={v!r}" for k, v in zip(self.__slots__, self._values)])
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values
-
-    # The error class is imported only when raised: its module costs 14 ms to load.
-    def __setattr__(self, name: str, value: object) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class Coalition(_Record):
@@ -118,15 +127,6 @@ class Coalition(_Record):
         c = object.__new__(cls)
         object.__setattr__(c, "members", members)
         return c
-
-    # Every Blame node's == and hash run these, so they read the slot directly.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.members == other.members
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.members,))
 
     def __iter__(self):
         return iter(self.members)
@@ -150,18 +150,18 @@ class Coalition(_Record):
         return "{" + ",".join(self.members) + "}"
 
 
-class Formula:
-    """Base of the node classes below: immutable values with ``__slots__``.
+class Formula(_Value):
+    """Base of the node classes below.
 
-    A node keeps two facts and then its fields in one private tuple,
-    ``_key``, and compares, hashes, pickles and copies by it; the fields
-    are read-only properties over it.  The facts are computed once, when
-    the node is built from its children's: ``agents``, the agents its B
-    nodes name, and ``widest``, the size of its largest B coalition (0
-    without one).
+    A node keeps two facts and then its fields in its one slot, ``_key``;
+    the fields are read-only properties over it.  The facts are computed
+    once, when the node is built from its children's: ``agents``, the
+    agents its B nodes name, and ``widest``, the size of its largest B
+    coalition (0 without one).
     """
 
     __slots__ = ()
+    _facts = 2
     _fields: tuple[str, ...] = ()
     _key: tuple = (frozenset(), 0)
     agents = property(lambda self: self._key[0])
@@ -171,21 +171,6 @@ class Formula:
         # Each field becomes a read-only property over its place in _key.
         for i, name in enumerate(cls.__dict__.get("_fields", ()), start=2):
             setattr(cls, name, property(lambda self, i=i: self._key[i]))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        fields = ", ".join([f"{k}={v!r}" for k, v in zip(self._fields, self._key[2:])])
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._key[2:]
 
 
 _NO_AGENTS = Formula._key[0]
@@ -212,10 +197,9 @@ class _Unary(Formula):
     _fields = ("child",)
 
     def __init__(self, child: Formula) -> None:
-        try:
-            key = child._key
-        except AttributeError:
-            raise TypeError(f"not a formula: {child!r}") from None
+        if not isinstance(child, Formula):
+            raise TypeError(f"not a formula: {child!r}")
+        key = child._key
         self._key = (key[0], key[1], child)
 
 
@@ -234,10 +218,9 @@ class Blame(Formula):
     def __init__(self, coalition: Coalition | Iterable[str], child: Formula) -> None:
         if not isinstance(coalition, Coalition):
             coalition = Coalition(coalition)
-        try:
-            key = child._key
-        except AttributeError:
-            raise TypeError(f"not a formula: {child!r}") from None
+        if not isinstance(child, Formula):
+            raise TypeError(f"not a formula: {child!r}")
+        key = child._key
         members = coalition.members
         widest = len(members) if len(members) > key[1] else key[1]
         self._key = (key[0].union(members), widest, coalition, child)
@@ -248,11 +231,9 @@ class _Binary(Formula):
     _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula) -> None:
-        try:
-            lkey, rkey = left._key, right._key
-        except AttributeError:
-            bad = right if isinstance(left, Formula) else left
-            raise TypeError(f"not a formula: {bad!r}") from None
+        if not isinstance(left, Formula) or not isinstance(right, Formula):
+            raise TypeError(f"not a formula: {right if isinstance(left, Formula) else left!r}")
+        lkey, rkey = left._key, right._key
         agents = lkey[0] | rkey[0] if rkey[0] and rkey[0] is not lkey[0] else lkey[0]
         widest = lkey[1] if lkey[1] >= rkey[1] else rkey[1]
         self._key = (agents, widest, left, right)

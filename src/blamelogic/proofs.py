@@ -12,8 +12,8 @@ side.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Callable, Mapping
-from importlib import resources
 
 from .formula import (
     And,
@@ -400,5 +400,6 @@ BUNDLED_NAMES: tuple[str, ...] = (
 def bundled_script(name: str) -> Proof:
     if name not in BUNDLED_NAMES:
         raise KeyError(f"no bundled script named {name!r}")
-    data = resources.files("blamelogic").joinpath(f"data/proofs/{name}.json").read_bytes()
-    return load_proof(data)
+    path = os.path.join(os.path.dirname(__file__), "data", "proofs", f"{name}.json")
+    with open(path, "rb") as f:
+        return load_proof(f.read())

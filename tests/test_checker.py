@@ -115,6 +115,11 @@ class TestTwoAgent:
         # zero is legal and yields the empty report
         assert blamable_coalitions(g, 3, parse("p"), max_size=0).entries == ()
 
+    @pytest.mark.parametrize("max_size", [True, 1.0])
+    def test_max_size_must_be_an_int(self, lopez, max_size):
+        with pytest.raises(ValueError, match=f"^max_size {max_size} out of range for 1 agents$"):
+            blamable_coalitions(lopez, 2, parse("dead"), max_size)
+
     def test_witness_is_smallest_blocked_gap(self):
         # at play 3 every a-strategy except "one" blocks nothing, so the
         # least non-blocked code must be action index 0
@@ -139,6 +144,12 @@ class TestErrors:
             evaluate_all(lopez, parse("B{ghost} dead"))
         with pytest.raises(ValueError, match="ghost"):
             blame_witness(lopez, 0, Coalition(["ghost"]), parse("dead"))
+
+    def test_duplicate_agent_in_an_unvalidated_game(self):
+        # Coalitions are built from the game's ids unchecked, so the search rejects repeats.
+        g = Game(("a", "a"), ("x", "y"), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
+        with pytest.raises(ValueError, match="^duplicate agent 'a'$"):
+            blamable_coalitions(g, 0, parse("p"))
 
     def test_cap_is_never_silent(self):
         agents = tuple(f"g{i}" for i in range(5))

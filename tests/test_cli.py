@@ -290,6 +290,12 @@ def test_deep_nesting_is_an_input_error(capsys, lopez_file):
         assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
 
 
+def test_long_chain_that_overflows_the_printer_is_an_input_error(capsys):
+    # The parser builds a 1,200-conjunct chain without recursion; printing it recurses.
+    code, out, err = run(capsys, "fmt", "--formula", " & ".join(["p"] * 1200))
+    assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+
+
 def test_deep_proof_line_is_an_input_error(capsys, tmp_path):
     deep = "(" * 200 + "p" + ")" * 200
     path = tmp_path / "deep.json"

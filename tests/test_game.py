@@ -74,6 +74,17 @@ class TestLoad:
         with pytest.raises(GameFormatError, match="valuation 'dead'"):
             load(doc_with(valuation={"dead": ["2"]}))
 
+    def test_plays_and_valuation_shapes(self):
+        with pytest.raises(GameFormatError, match="^key 'plays' must be a list$"):
+            load(doc_with(plays={"0": {"profile": {"lopez": "hide"}, "outcome": "alive"}}))
+        with pytest.raises(GameFormatError, match="^key 'valuation' must be an object$"):
+            load(doc_with(valuation=[["dead", 2]]))
+
+    def test_profile_actions_must_be_strings(self):
+        # a shape error, caught before validate could call it an unlisted action
+        with pytest.raises(GameFormatError, match="^play 0 must be "):
+            load(doc_with(plays=[{"profile": {"lopez": 3}, "outcome": "alive"}]))
+
     def test_validation_failure_collects_violations(self):
         bad = doc_with(
             agents=["lopez", "lopez"],
@@ -97,6 +108,10 @@ class TestValidate:
     def test_empty_action_set(self):
         g = Game(("a",), (), ("w",), (), {})
         assert "empty action set" in validate(g)
+
+    def test_empty_action_name(self):
+        g = Game(("a",), ("x", ""), ("w",), (Play({"a": "x"}, "w"),), {})
+        assert validate(g) == ["invalid action ''"]
 
     def test_agent_id_shape(self):
         g = Game(("Ana",), ("x",), ("w",), (), {})

@@ -293,3 +293,20 @@ class TestSweep:
         report = soundness_sweep(params, 6, 2, evaluate_all_fn=liar)
         assert any(f["schema"] == "TruthN" for f in report["failures"])
         assert all(f["play"] == 0 for f in report["failures"] if f["schema"] == "TruthN")
+
+
+def test_necessitation_failure_reports_the_boxed_formula():
+    # an evaluator wrong only on N-rooted formulas fails necessitation and nothing else
+    def liar(game, formula):
+        table = evaluate_all(game, formula)
+        if isinstance(formula, Necessity):
+            return EvalTable(formula, tuple(False for _ in table.truth))
+        return table
+
+    params = GenParams(seed=4, n_plays=4, formula_depth=2)
+    report = soundness_sweep(params, 6, 2, evaluate_all_fn=liar)
+    failures = report["failures"]
+    assert 0 < len(failures) <= report["extra_totals"]["necessitation"]  # none in 0-play games
+    for failure in failures:
+        assert (failure["schema"], failure["play"]) == ("necessitation", 0)
+        assert failure["formula"].startswith("N ")

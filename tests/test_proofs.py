@@ -103,6 +103,13 @@ class TestSchemas:
         )
         instantiate_schema("Monotonicity", {"phi": p, "C": Coalition(), "D": Coalition()})
 
+    def test_metavariable_values(self):
+        with pytest.raises(InstantiationError, match="^TruthB: phi must be a formula$"):
+            instantiate_schema("TruthB", {"phi": "p", "C": A})
+        instance = instantiate_schema("TruthB", {"phi": p, "C": ["a"]})
+        assert instance == instantiate_schema("TruthB", {"phi": p, "C": A})
+        assert type(instance.left.coalition) is Coalition
+
     def test_injective_for_fixed_schema(self):
         seen = {}
         for phi in (p, q, Not(p), And(p, q)):
@@ -253,6 +260,10 @@ class TestKernel:
         lines = (ProofLine(q, Justification("mp", (1, 2))),)
         assert "bad line reference" in check_proof(Proof((), q, lines)).reason
 
+    def test_unknown_schema_name(self):
+        line = ProofLine(p, Justification("axiom", (), "Truth", {"phi": p}))
+        assert check_proof(Proof((), p, (line,))) == ProofFailure(1, "unknown schema 'Truth'")
+
     def test_final_line_must_match_claim(self):
         lines = (ProofLine(parse("p | !p"), Justification("taut")),)
         failure = check_proof(Proof((), p, lines))
@@ -354,6 +365,31 @@ class TestScriptFormat:
                     }
                 )
             )
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"claim": 3}, "claim: formula must be a string"),
+            ({"hypotheses": "p"}, "hypotheses must be a list"),
+            ({"lines": {"1": {}}}, "lines must be a list"),
+            ({"hypotheses": ["p", "p ->"]}, "hypothesis 2: "),
+            ({"lines": [{"formula": "p", "just": {"kind": "hyp", "from": [True]}}]},
+             "line 1: 'from' must be a list of line numbers"),
+            ({"lines": [{"formula": "p", "just": {"kind": "hyp", "from": "1"}}]},
+             "line 1: 'from' must be a list of line numbers"),
+            ({"lines": [{"formula": "p", "just": {"kind": "axiom", "subst": ["p"]}}]},
+             "line 1: subst must be an object"),
+            ({"lines": [{"formula": "p", "just": {"kind": "axiom", "subst": {"C": "a"}}}]},
+             "line 1: subst C must be a list of agent ids"),
+            ({"lines": [{"formula": "p", "just": {"kind": "axiom", "subst": {"D": ["a", 1]}}}]},
+             "line 1: subst D must be a list of agent ids"),
+        ],
+    )  # fmt: skip
+    def test_load_guards(self, doc, message):
+        script = {"hypotheses": [], "claim": "p", "lines": [], **doc}
+        with pytest.raises(ProofFormatError) as caught:
+            load_proof(json.dumps(script))
+        assert str(caught.value).startswith(message)
 
     def test_non_utf8_is_a_format_error(self):
         with pytest.raises(ProofFormatError, match="^not UTF-8: "):
