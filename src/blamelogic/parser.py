@@ -23,6 +23,8 @@ byte offsets.
 ``parse`` lexes with one ``findall`` and climbs precedence in one loop:
 ``binary(level)`` reads a unary operand, then each binary operator of that
 level or tighter.  Only an error re-lexes, with ``_lex``, to find its offset.
+Every node comes from one table, so equal subformulas of a text are one
+object; ``_parse`` lets a caller share that table across several texts.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .formula import (
     Or,
     Prop,
     Top,
-    possibly,
 )
 
 __all__ = ["ParseError", "parse", "format_formula"]
@@ -66,7 +67,8 @@ _BINARY = (("<->", Iff, None), ("->", Implies, "right"), ("|", Or, "left"), ("&"
 _UNARY = len(_BINARY)
 _LEVELS = {node: (level, f" {op} ", grouping) for level, (op, node, grouping) in enumerate(_BINARY)}
 _INFIX = {op: (level, node, grouping) for level, (op, node, grouping) in enumerate(_BINARY)}
-_PREFIX = {"!": Not, "N": Necessity, "<N>": possibly}
+# Each prefix operator wraps its operand in these node types ("<N>" is "!N !").
+_PREFIX = {"!": (Not,), "N": (Necessity,), "<N>": (Not, Necessity, Not)}
 _CONSTANTS = {"true": Top, "false": Bottom}
 
 # A symbol, an identifier or keyword, or a character that starts no token
@@ -101,11 +103,13 @@ def _lex(text: str) -> list[tuple[str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, tokens: list[str]) -> None:
+    def __init__(self, text: str, tokens: list[str], nodes: dict) -> None:
         self._text = text
         self._tokens = tokens
         self._pos = self._depth = 0
-        self._atoms: dict[str, Formula] = {}
+        # Atoms by name, coalitions by raw member tuple, and other nodes by
+        # (type, id(child), ...): the table holds the children, so ids stay valid.
+        self._nodes = nodes
 
     def _fail(self, expected: str, error: type[ParseError] = ParseError) -> ParseError:
         token, offset = _lex(self._text)[self._pos]
@@ -132,18 +136,30 @@ class _Parser:
                 return left
             self._pos += 1
             op_level, node, grouping = infix
-            left = node(left, self.binary(op_level if grouping == "right" else op_level + 1))
+            right_level = op_level if grouping == "right" else op_level + 1
+            right = self.binary(right_level) if right_level < _UNARY else self.unary()
+            left = self._node((node, id(left), id(right)), node, left, right)
             if grouping is None:
                 return left
+
+    def _node(self, key: tuple, node: type, *fields: object):
+        """The table's entry for `key`, built from `fields` the first time."""
+        made = self._nodes.get(key)
+        if made is None:
+            made = self._nodes[key] = node(*fields)
+        return made
 
     def unary(self) -> Formula:
         token = self._tokens[self._pos]
         self._pos += 1
-        node = self._atoms.get(token)
+        node = self._nodes.get(token)
         if node is not None:
             return node
         if token in _PREFIX:
-            return _PREFIX[token](self.unary())
+            child = self.unary()
+            for node in _PREFIX[token]:  # innermost first
+                child = self._node((node, id(child)), node, child)
+            return child
         if token == "(":
             if self._depth == _MAX_NESTING:
                 self._pos -= 1
@@ -162,20 +178,27 @@ class _Parser:
                     self._pos += 1
                     members.append(self._ident("an agent id"))
             self._take("}", "'}'")
-            return Blame(Coalition(members), self.unary())
-        if token[:1].islower():  # an identifier or keyword, built once per call
-            node = self._atoms[token] = _CONSTANTS[token]() if token in _CONSTANTS else Prop(token)
+            coalition = self._node(tuple(members), Coalition, members)
+            child = self.unary()
+            return self._node((Blame, coalition.members, id(child)), Blame, coalition, child)
+        if token[:1].islower():  # an identifier or keyword, built once per table
+            node = self._nodes[token] = _CONSTANTS[token]() if token in _CONSTANTS else Prop(token)
             return node
         self._pos -= 1
         raise self._fail("a formula")
 
 
 def parse(text: str) -> Formula:
+    return _parse(text, {})
+
+
+def _parse(text: str, nodes: dict) -> Formula:
+    """``parse`` with the node table `nodes`, which may be shared with other calls."""
     tokens = _TOKEN.findall(text)
     if not all(map(_is_token, set(tokens))):
         _lex(text)  # raises at the first character that starts no token
     tokens.append("")
-    parser = _Parser(text, tokens)
+    parser = _Parser(text, tokens, nodes)
     result = parser.binary(0)
     if tokens[parser._pos]:
         raise parser._fail("end of input")

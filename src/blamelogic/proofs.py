@@ -29,7 +29,7 @@ from .formula import (
     truth_mask,
 )
 from .game import _read_json
-from .parser import ParseError, format_formula, parse
+from .parser import ParseError, _parse, format_formula
 
 __all__ = [
     "Schema",
@@ -281,11 +281,11 @@ class ProofFormatError(ValueError):
     """The document is not shaped like a proof script."""
 
 
-def _parse_formula(text: object, where: str) -> Formula:
+def _parse_formula(text: object, where: str, nodes: dict) -> Formula:
     if not isinstance(text, str):
         raise ProofFormatError(f"{where}: formula must be a string")
     try:
-        return parse(text)
+        return _parse(text, nodes)
     except ParseError as e:
         raise ProofFormatError(f"{where}: {e}") from e
 
@@ -297,7 +297,8 @@ def _reject_unknown_keys(obj: dict, known: set[str], where: str) -> None:
 
 
 def load_proof(document: bytes | str) -> Proof:
-    """Parse a proof script; formulas use the concrete grammar, lines are 1-based."""
+    """Parse a proof script; formulas use the concrete grammar, lines are 1-based.
+    They share one parser table, so equal subformulas of the script are one object."""
     doc = _read_json(document, ProofFormatError)
     if not isinstance(doc, dict) or not {"hypotheses", "claim", "lines"} <= set(doc):
         raise ProofFormatError("script must have hypotheses, claim, and lines")
@@ -305,10 +306,11 @@ def load_proof(document: bytes | str) -> Proof:
     raw_hyps = doc["hypotheses"]
     if not isinstance(raw_hyps, list):
         raise ProofFormatError("hypotheses must be a list")
+    nodes: dict = {}
     hypotheses = tuple(
-        _parse_formula(h, f"hypothesis {i + 1}") for i, h in enumerate(raw_hyps)
+        _parse_formula(h, f"hypothesis {i + 1}", nodes) for i, h in enumerate(raw_hyps)
     )
-    claim = _parse_formula(doc["claim"], "claim")
+    claim = _parse_formula(doc["claim"], "claim", nodes)
     raw_lines = doc["lines"]
     if not isinstance(raw_lines, list):
         raise ProofFormatError("lines must be a list")
@@ -318,7 +320,7 @@ def load_proof(document: bytes | str) -> Proof:
         if not isinstance(entry, dict) or "formula" not in entry or "just" not in entry:
             raise ProofFormatError(f"{where}: must have formula and just")
         _reject_unknown_keys(entry, {"formula", "just"}, where)
-        formula = _parse_formula(entry["formula"], where)
+        formula = _parse_formula(entry["formula"], where, nodes)
         raw_just = entry["just"]
         if not isinstance(raw_just, dict) or not isinstance(raw_just.get("kind"), str):
             raise ProofFormatError(f"{where}: just must be an object with a string kind")
@@ -339,7 +341,7 @@ def load_proof(document: bytes | str) -> Proof:
             subst = {}
             for var, value in raw_subst.items():
                 if var in ("phi", "psi"):
-                    subst[var] = _parse_formula(value, f"{where} subst {var}")
+                    subst[var] = _parse_formula(value, f"{where} subst {var}", nodes)
                 elif var in ("C", "D"):
                     if not isinstance(value, list) or not all(
                         isinstance(a, str) for a in value

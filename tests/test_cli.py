@@ -307,6 +307,29 @@ def test_deep_proof_line_is_an_input_error(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: line 2: formula nested too deeply\n")
 
 
+def _hyp_script(tmp_path, hypothesis, line):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"hypotheses": [hypothesis], "claim": hypothesis, "lines": [
+        {"formula": line, "just": {"kind": "hyp", "from": [1]}},
+    ]}))  # fmt: skip
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [400, 2000])
+def test_long_chain_proof_checks(capsys, tmp_path, n):
+    # The hypothesis, the line and the claim parse to one object, so no comparison recurses.
+    chain = " & ".join(["p", "q"] * (n // 2))
+    code, out, err = run(capsys, "proof", _hyp_script(tmp_path, chain, chain))
+    assert (code, out, err) == (0, "ok\n", "")
+
+
+def test_long_chain_mismatch_is_an_input_error(capsys, tmp_path):
+    # Two chains that differ at their first conjunct share no node: comparing them recurses.
+    chain = " & ".join(["p", "q"] * 1000)
+    code, out, err = run(capsys, "proof", _hyp_script(tmp_path, chain, "q" + chain[1:]))
+    assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+
+
 def test_deeply_nested_document_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -324,3 +324,27 @@ def test_atoms_are_shared_within_one_parse():
     assert f == built and hash(f) == hash(built)
     assert pickle.loads(pickle.dumps(f)) == f
     assert parse("p") is not parse("p")  # nothing is kept between calls
+
+
+def test_equal_subformulas_are_one_object_within_one_parse():
+    f = parse("(p -> q) & (p -> q) | B{b,a} p & B{a,b} p | <N> p & <N> p & !N !p")
+    pairs, blames, possibles = f.left.left, f.left.right, f.right
+    assert pairs.left is pairs.right
+    assert blames.left is blames.right and blames.left.coalition.members == ("a", "b")
+    assert possibles.left.left is possibles.left.right is possibles.right
+    assert format_formula(possibles.right) == "<N> p"
+    assert f == parse(format_formula(f)) and f is not parse(format_formula(f))
+
+
+def test_a_shared_dag_pickles_and_prints_as_before():
+    text = "B{a} (p -> q) & B{a} (p -> q) -> <N> B{a} (p -> q) | <N> B{a} (p -> q)"
+    f = parse(text)
+    again = pickle.loads(pickle.dumps(f))
+    assert again == f and repr(again) == repr(f) and format_formula(again) == text
+    assert again.left.left is again.left.right  # pickle keeps the sharing
+
+    def blame():  # a fresh tree per call
+        return Blame(["a"], Implies(p, q))
+
+    built = Implies(And(blame(), blame()), Or(possibly(blame()), possibly(blame())))
+    assert f == built and hash(f) == hash(built) and repr(f) == repr(built)

@@ -1,8 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import blamelogic.proofs
 from blamelogic import (
     And,
     AtomLimitError,
@@ -332,6 +334,29 @@ class TestBundled:
         proof = bundled_script(name)
         again = load_proof(dump_proof(proof))
         assert again == proof
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_loaded_script_is_canonical(self, name):
+        path = Path(blamelogic.proofs.__file__).parent / "data" / "proofs" / f"{name}.json"
+        blob = path.read_bytes()
+        assert dump_proof(load_proof(blob)) == blob
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_equal_formulas_of_a_script_are_one_object(self, name):
+        proof = bundled_script(name)
+        assert proof.lines[-1].formula is proof.claim
+        mp = 0
+        for line in proof.lines:
+            refs = line.just.refs
+            if line.just.kind == "mp":
+                premise, rule = (proof.lines[r - 1].formula for r in refs)
+                assert rule.left is premise and rule.right is line.formula
+                mp += 1
+            elif line.just.kind == "hyp":
+                assert line.formula is proof.hypotheses[refs[0] - 1]
+            elif line.just.kind == "nec":
+                assert line.formula.child is proof.lines[refs[0] - 1].formula
+        assert mp > 0
 
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_mutants_all_rejected(self, name):
