@@ -8,10 +8,10 @@ for a B node it groups the child's plays by the strategy they follow and
 looks for a strategy with none.  The two routes must agree bit for bit,
 so ``satisfies`` stays deliberately naive as an oracle.
 
-Both routes pre-check every B node in the formula for agents the game
-lacks and then against the strategy enumeration cap, so they raise
-identical errors as well.  The root's facts settle the check at once;
-only a formula that fails it is walked, to find the error to report.
+Both routes check every B node in the formula for agents the game lacks
+and then against the strategy enumeration cap, so they raise identical
+errors as well.  ``_precheck``'s walk states those errors once; the fold
+checks each B node as it reaches it and walks only when one fails.
 """
 
 from __future__ import annotations
@@ -106,15 +106,9 @@ class BlameReport(_Record):
 
 
 def _precheck(g: Game, f: Formula, cap: int, extra: Coalition | None = None) -> None:
-    # Check every B node up front so both evaluation routes fail alike,
-    # regardless of short-circuiting.  The walk reports an unknown agent
-    # anywhere before any strategy space over the cap.
-    if isinstance(f, Formula):
-        agents, widest = f.agents, f.widest
-        if extra is not None:
-            agents, widest = agents.union(extra), max(widest, len(extra))
-        if agents.issubset(g.agents) and len(g.actions) ** widest <= cap:
-            return
+    # Check every B node, so both evaluation routes fail alike regardless
+    # of short-circuiting: an unknown agent anywhere before any strategy
+    # space over the cap, in walk order.
     coalitions = [node.coalition for node in blame_nodes(f)]
     if extra is not None:
         coalitions.insert(0, extra)
@@ -174,12 +168,11 @@ def _sat(g: Game, i: int, f: Formula) -> bool:
 
 def evaluate_all(g: Game, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> EvalTable:
     """Truth vector over all plays, memoised per node of the formula tree."""
-    _precheck(g, f, cap)
-    mask = _mask(g, f)
+    mask = _mask(g, f, cap)
     return EvalTable(f, tuple(bool(mask >> i & 1) for i in range(len(g.plays))))
 
 
-def _mask(g: Game, f: Formula, masks: list[list[int]] | None = None) -> int:
+def _mask(g: Game, f: Formula, cap: int = DEFAULT_STRATEGY_CAP, masks: list | None = None) -> int:
     full = (1 << len(g.plays)) - 1
     memo: dict[int, int] = {}
 
@@ -193,21 +186,29 @@ def _mask(g: Game, f: Formula, masks: list[list[int]] | None = None) -> int:
             except ValueError:  # a negative index, which only a Game built without validate has
                 m = sum(1 << i for i in g.valuation[node.name] if i >= 0)
             return m & full  # the fold needs vectors within full
-        child = truth_mask(node.child, full, atom, memo)
         if isinstance(node, Necessity):
-            return full if child == full else 0
+            return full if truth_mask(node.child, full, atom, memo) == full else 0
+        # A B node over the cap or naming an unknown agent sends f to the walk for its error.
+        order = _positions(g, node.coalition)
+        space = len(g.actions) ** len(order)
+        if space > cap or not frozenset(g.agents).issuperset(node.coalition.members):
+            _precheck(g, f, cap)
         # The prevention condition does not depend on the play, so the
         # B node's vector is the child's vector or all-false.  Each play
         # agrees with exactly one of the coalition's strategies, so fewer
         # child plays than strategies leave one unblocked without a search.
-        order = _positions(g, node.coalition)
-        if child.bit_count() < len(g.actions) ** len(order):
+        child = truth_mask(node.child, full, atom, memo)
+        if child.bit_count() < space:
             return child
         if masks is None:
             masks = _action_masks(g)
         return child if _first_preventer(masks, order, child) is not None else 0
 
-    return truth_mask(f, full, atom, memo)
+    try:
+        return truth_mask(f, full, atom, memo)
+    except Exception:  # a malformed game can fail the fold first; the walk's error comes first
+        _precheck(g, f, cap)
+        raise
 
 
 def _action_masks(g: Game) -> list[list[int]]:
@@ -287,7 +288,7 @@ def blame_witness(
     _check_play_index(g, play_index)
     _precheck(g, f, cap, extra=coalition)
     masks = _action_masks(g)
-    child = _mask(g, f, masks)
+    child = _mask(g, f, cap, masks)
     if not child >> play_index & 1:
         return None
     order = _positions(g, coalition)
@@ -329,7 +330,7 @@ def blamable_coalitions(
             raise StrategySpaceError(Coalition(sorted(g.agents)[:size]), space, cap)
 
     masks = _action_masks(g)
-    child = _mask(g, f, masks)
+    child = _mask(g, f, cap, masks)
     if not (max_size and child >> play_index & 1):
         return BlameReport(play_index, f, max_size, ())
     agents = sorted((a, k) for k, a in enumerate(g.agents))
@@ -382,6 +383,5 @@ def blamable_coalitions(
 
 def valid_in_game(g: Game, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> int | None:
     """None when the formula holds at every play, else the least failing index."""
-    _precheck(g, f, cap)
-    failing = _mask(g, f) ^ ((1 << len(g.plays)) - 1)  # the mask lies within the plays
+    failing = _mask(g, f, cap) ^ ((1 << len(g.plays)) - 1)  # the mask lies within the plays
     return (failing & -failing).bit_length() - 1 if failing else None

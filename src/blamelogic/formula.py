@@ -62,13 +62,12 @@ def _frozen(self, name: str, *value: object) -> None:
 class _Value:
     """Base of the package's immutable values: records and formula nodes.
 
-    A value's ``_key`` holds ``_facts`` facts derived from its fields, then
-    the fields named in ``_fields``.  It compares (within one class) and
-    hashes by ``_key``, and prints and pickles by its fields.
+    A value's ``_key`` holds its fields, those named in ``_fields``, in
+    order.  It compares (within one class) and hashes by ``_key``, and
+    prints and pickles by its fields.
     """
 
     __slots__ = ()
-    _facts = 0
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -79,11 +78,11 @@ class _Value:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{k}={v!r}" for k, v in zip(self._fields, self._key[self._facts:])])
+        fields = ", ".join([f"{k}={v!r}" for k, v in zip(self._fields, self._key)])
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._key[self._facts:]
+        return type(self), self._key
 
 
 class _Record(_Value):
@@ -153,27 +152,22 @@ class Coalition(_Record):
 class Formula(_Value):
     """Base of the node classes below.
 
-    A node keeps two facts and then its fields in its one slot, ``_key``;
-    the fields are read-only properties over it.  The facts are computed
-    once, when the node is built from its children's: ``agents``, the
-    agents its B nodes name, and ``widest``, the size of its largest B
-    coalition (0 without one).
+    A node keeps its fields in its one slot, ``_key``; they are read-only
+    properties over it.  ``agents``, the agents its B nodes name, and
+    ``widest``, the size of its largest B coalition (0 without one), are
+    computed from the B nodes when read.
     """
 
     __slots__ = ()
-    _facts = 2
     _fields: tuple[str, ...] = ()
-    _key: tuple = (frozenset(), 0)
-    agents = property(lambda self: self._key[0])
-    widest = property(lambda self: self._key[1])
+    _key: tuple = ()
+    agents = property(lambda self: frozenset(a for n in blame_nodes(self) for a in n.coalition))
+    widest = property(lambda self: max([len(n.coalition) for n in blame_nodes(self)], default=0))
 
     def __init_subclass__(cls) -> None:
         # Each field becomes a read-only property over its place in _key.
-        for i, name in enumerate(cls.__dict__.get("_fields", ()), start=2):
+        for i, name in enumerate(cls.__dict__.get("_fields", ())):
             setattr(cls, name, property(lambda self, i=i: self._key[i]))
-
-
-_NO_AGENTS = Formula._key[0]
 
 
 class Prop(Formula):
@@ -181,7 +175,7 @@ class Prop(Formula):
     _fields = ("name",)
 
     def __init__(self, name: str) -> None:
-        self._key = (_NO_AGENTS, 0, check_ident(name, "proposition"))
+        self._key = (check_ident(name, "proposition"),)
 
 
 class Top(Formula):
@@ -199,8 +193,7 @@ class _Unary(Formula):
     def __init__(self, child: Formula) -> None:
         if not isinstance(child, Formula):
             raise TypeError(f"not a formula: {child!r}")
-        key = child._key
-        self._key = (key[0], key[1], child)
+        self._key = (child,)
 
 
 class Not(_Unary):
@@ -220,10 +213,7 @@ class Blame(Formula):
             coalition = Coalition(coalition)
         if not isinstance(child, Formula):
             raise TypeError(f"not a formula: {child!r}")
-        key = child._key
-        members = coalition.members
-        widest = len(members) if len(members) > key[1] else key[1]
-        self._key = (key[0].union(members), widest, coalition, child)
+        self._key = (coalition, child)
 
 
 class _Binary(Formula):
@@ -233,10 +223,7 @@ class _Binary(Formula):
     def __init__(self, left: Formula, right: Formula) -> None:
         if not isinstance(left, Formula) or not isinstance(right, Formula):
             raise TypeError(f"not a formula: {right if isinstance(left, Formula) else left!r}")
-        lkey, rkey = left._key, right._key
-        agents = lkey[0] | rkey[0] if rkey[0] and rkey[0] is not lkey[0] else lkey[0]
-        widest = lkey[1] if lkey[1] >= rkey[1] else rkey[1]
-        self._key = (agents, widest, left, right)
+        self._key = (left, right)
 
 
 class Implies(_Binary):
@@ -286,13 +273,13 @@ def truth_mask(
         op = _FOLDS[type(f)]
     except KeyError:
         raise TypeError(f"not a formula: {f!r}") from None
-    k = f._key  # the children follow the two facts
+    k = f._key  # a folded node's fields are its children
     if op is None:
         m = atom(f)
-    elif len(k) == 4:
-        m = op(full, truth_mask(k[2], full, atom, memo), truth_mask(k[3], full, atom, memo))
+    elif len(k) == 2:
+        m = op(full, truth_mask(k[0], full, atom, memo), truth_mask(k[1], full, atom, memo))
     else:
-        m = op(full, truth_mask(k[2], full, atom, memo)) if len(k) == 3 else op(full)
+        m = op(full, truth_mask(k[0], full, atom, memo)) if k else op(full)
     memo[id(f)] = m
     return m
 
@@ -314,10 +301,12 @@ _FOLDS = {
 
 
 def blame_nodes(f: Formula) -> Iterator[Blame]:
-    """Every Blame node in the tree, each before the nodes below it."""
-    stack = [f] if isinstance(f, Formula) else []
+    """Every Blame node in the formula once, each before the nodes below it."""
+    stack, seen = [f] if isinstance(f, Formula) else [], set()
     while stack:
         node = stack.pop()
-        if isinstance(node, Blame):
-            yield node
-        stack.extend(c for c in node._key[2:] if isinstance(c, Formula))
+        if id(node) not in seen:  # a shared subformula is walked once
+            seen.add(id(node))
+            if isinstance(node, Blame):
+                yield node
+            stack.extend(c for c in node._key if isinstance(c, Formula))

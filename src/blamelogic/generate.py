@@ -100,16 +100,16 @@ class GenParams(_Record):
         formula_depth: int = 4,
     ) -> None:
         checks = (
-            (0 <= seed <= _MASK64, "seed must fit in 64 bits"),
-            (1 <= n_agents <= 4, "n_agents must be in [1, 4]"),
-            (1 <= n_actions <= 4, "n_actions must be in [1, 4]"),
-            (1 <= n_outcomes <= 4, "n_outcomes must be in [1, 4]"),
-            (0 <= n_plays <= 16, "n_plays must be in [0, 16]"),
-            (1 <= n_props <= 4, "n_props must be in [1, 4]"),
-            (0 <= formula_depth <= 6, "formula_depth must be in [0, 6]"),
+            (seed, 0, _MASK64, "seed must fit in 64 bits"),
+            (n_agents, 1, 4, "n_agents must be in [1, 4]"),
+            (n_actions, 1, 4, "n_actions must be in [1, 4]"),
+            (n_outcomes, 1, 4, "n_outcomes must be in [1, 4]"),
+            (n_plays, 0, 16, "n_plays must be in [0, 16]"),
+            (n_props, 1, 4, "n_props must be in [1, 4]"),
+            (formula_depth, 0, 6, "formula_depth must be in [0, 6]"),
         )
-        for ok, message in checks:
-            if not ok:
+        for value, low, high, message in checks:
+            if type(value) is not int or not low <= value <= high:
                 raise ValueError(message)
         self._fill(seed, n_agents, n_actions, n_outcomes, n_plays, n_props, formula_depth)
 
@@ -227,7 +227,7 @@ def soundness_sweep(
     ``evaluate_all_fn`` exists so tests can aim the sweep at a broken
     evaluator and watch it object.
     """
-    if games < 0 or instances_per_schema < 0:
+    if not all(type(n) is int and n >= 0 for n in (games, instances_per_schema)):
         raise ValueError(
             f"games ({games}) and instances_per_schema ({instances_per_schema})"
             " must not be negative"

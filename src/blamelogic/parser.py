@@ -212,15 +212,15 @@ def format_formula(f: Formula) -> str:
 
 def _fmt(f: Formula, required: int) -> str:
     """Text of f, parenthesized when it binds looser than level `required`."""
-    # _key holds two facts, then the fields; reading it skips a property call per field.
+    # _key holds the fields; reading it skips a property call per field.
     binary = _LEVELS.get(type(f))
     if binary is not None:
         level, op, grouping = binary
-        left = _fmt(f._key[2], level if grouping == "left" else level + 1)
-        text = left + op + _fmt(f._key[3], level if grouping == "right" else level + 1)
+        left = _fmt(f._key[0], level if grouping == "left" else level + 1)
+        text = left + op + _fmt(f._key[1], level if grouping == "right" else level + 1)
         return f"({text})" if level < required else text
     if isinstance(f, Prop):
-        return f._key[2]
+        return f._key[0]
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Bottom):
@@ -228,12 +228,12 @@ def _fmt(f: Formula, required: int) -> str:
     if not isinstance(f, (Not, Necessity, Blame)):
         raise TypeError(f"not a formula: {f!r}")
     k = f._key  # the child is the last field
-    if isinstance(f, Not) and isinstance(k[2], Necessity) and isinstance(k[2]._key[2], Not):
-        head, k = "<N> ", k[2]._key[2]._key
+    if isinstance(f, Not) and isinstance(k[0], Necessity) and isinstance(k[0]._key[0], Not):
+        head, k = "<N> ", k[0]._key[0]._key
     elif isinstance(f, Not):
         head = "!"
     elif isinstance(f, Necessity):
         head = "N "
     else:
-        head = "B{" + ",".join(k[2].members) + "} "
+        head = "B{" + ",".join(k[0].members) + "} "
     return head + _fmt(k[-1], _UNARY)

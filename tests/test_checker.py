@@ -6,6 +6,7 @@ import time
 import pytest
 
 from blamelogic import (
+    And,
     Blame,
     Coalition,
     CoalitionCountError,
@@ -454,6 +455,73 @@ def test_precheck_facts_raise_what_the_walk_raises():
                     )
                     seen.add("both" if both else None)
     assert seen == {None, "agents", "cap", "both"}
+
+
+def test_the_fold_raises_what_the_walk_raises():
+    # The corpus above, through the routes that guard B nodes inside the fold.
+    rng = SplitMix64(20261019)
+    wide = random_game(GenParams(seed=rng.next64(), n_agents=4, n_props=3))
+    seen = set()
+    for n_agents in (1, 2, 3, 4):
+        for _ in range(6):
+            g = random_game(GenParams(seed=rng.next64(), n_agents=n_agents, n_actions=3))
+            for _ in range(40):
+                f = random_formula(GenParams(seed=rng.next64(), formula_depth=5), wide)
+                if rng.below(3) == 0:  # the extra coalition, which these routes do not take
+                    rng.subset(wide.agents)
+                for cap in (4, DEFAULT_STRATEGY_CAP):
+                    expected = outcome(walk_precheck, g, f, cap)
+                    assert outcome(lambda: evaluate_all(g, f, cap=cap)) == expected, f
+                    assert outcome(lambda: valid_in_game(g, f, cap=cap)) == expected, f
+                    seen.add(expected and expected[0])
+                    both = expected and expected[0] == "agents" and f.widest and (
+                        len(g.actions) ** f.widest > cap
+                    )
+                    seen.add("both" if both else None)
+    assert seen == {None, "agents", "cap", "both"}
+
+
+def test_a_repeated_agent_does_not_hide_an_unknown_one():
+    # Agent 'a' sits at two positions, as many as B{a,ghost} has members.
+    g = Game(("a", "a"), ("x",), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
+    f = parse("B{a,ghost} p")
+    routes = [
+        lambda: evaluate_all(g, f),
+        lambda: valid_in_game(g, f),
+        lambda: satisfies(g, 0, f),
+        lambda: blamable_coalitions(g, 0, f),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match=r"^agents not in the game: \['ghost'\]$"):
+            route()
+
+
+def test_a_malformed_game_reports_the_guard_error_first():
+    # The valuation of p fails the fold before it reaches the B node; the
+    # guard's error is still the one reported.
+    g = Game(("a",), ("x",), ("o",), (Play({"a": "x"}, "o"),), {"p": {"z"}})
+    for route in (evaluate_all, valid_in_game):
+        with pytest.raises(ValueError, match=r"^agents not in the game: \['ghost'\]$"):
+            route(g, parse("p & B{ghost} p"))
+        with pytest.raises(StrategySpaceError, match="over the cap 0"):
+            route(g, parse("p & B{a} p"), cap=0)
+        with pytest.raises(TypeError):
+            route(g, parse("p & B{a} p"))
+
+
+def test_a_shared_subformula_is_walked_once():
+    # 2**64 paths through 65 nodes: the guard and the facts must not follow each path.
+    g = Game(("a",), ("x", "y"), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
+    f = parse("B{a} p")
+    for _ in range(64):
+        f = And(f, f)
+    assert f.agents == {"a"} and f.widest == 1
+    assert [e.coalition for e in blamable_coalitions(g, 0, f).entries] == [Coalition(["a"])]
+    assert blame_witness(g, 0, Coalition(["a"]), f) == Strategy(["a"], {"a": "y"})
+    with pytest.raises(ValueError, match=r"agents not in the game: \['ghost'\]"):
+        evaluate_all(g, And(f, parse("B{ghost} p")))
+    with pytest.raises(StrategySpaceError, match="over the cap 1"):
+        evaluate_all(g, f, cap=1)
 
 
 class TestCoalitionCountGuard:

@@ -256,6 +256,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="must not be negative"):
             soundness_sweep(GenParams(seed=1), games, instances)
 
+    @pytest.mark.parametrize("games, instances", [(1.5, 1), (1, 2.0)])
+    def test_counts_that_are_not_int_rejected(self, games, instances):
+        with pytest.raises(ValueError, match="must not be negative"):
+            soundness_sweep(GenParams(seed=1), games, instances)
+
     def test_sweep_catches_a_corrupted_evaluator(self):
         # an evaluator that negates every blame result must light up
         def corrupt(game, formula):
