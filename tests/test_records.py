@@ -156,6 +156,16 @@ def test_record_coercions():
         (lambda: GenParams(n_plays=17), r"n_plays must be in \[0, 16\]"),
         (lambda: GenParams(n_props=0), r"n_props must be in \[1, 4\]"),
         (lambda: GenParams(formula_depth=7), r"formula_depth must be in \[0, 6\]"),
+    ],
+)
+def test_record_validation(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
         (lambda: GenParams(seed=1.5), "seed must fit in 64 bits"),
         (lambda: GenParams(n_agents=2.5), r"n_agents must be in \[1, 4\]"),
         (lambda: GenParams(n_actions=2.0), r"n_actions must be in \[1, 4\]"),
@@ -165,7 +175,7 @@ def test_record_coercions():
         (lambda: GenParams(formula_depth=2.5), r"formula_depth must be in \[0, 6\]"),
     ],
 )
-def test_record_validation(build, message):
+def test_gen_params_rejects_non_integers(build, message):
     with pytest.raises(ValueError, match=message):
         build()
 
