@@ -168,47 +168,65 @@ def _sat(g: Game, i: int, f: Formula) -> bool:
 
 def evaluate_all(g: Game, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> EvalTable:
     """Truth vector over all plays, memoised per node of the formula tree."""
-    mask = _mask(g, f, cap)
+    mask = _Evaluator(g, cap).mask(f)
     return EvalTable(f, tuple(bool(mask >> i & 1) for i in range(len(g.plays))))
 
 
-def _mask(g: Game, f: Formula, cap: int = DEFAULT_STRATEGY_CAP, masks: list | None = None) -> int:
-    full = (1 << len(g.plays)) - 1
-    memo: dict[int, int] = {}
+class _Evaluator:
+    """Truth vectors on one game, formula after formula, each with a fresh memo.
 
-    def atom(node: Formula) -> int:
-        nonlocal masks
-        if isinstance(node, Prop):
-            m = 0
-            try:
-                for i in g.valuation.get(node.name, frozenset()):
-                    m |= 1 << i
-            except ValueError:  # a negative index, which only a Game built without validate has
-                m = sum(1 << i for i in g.valuation[node.name] if i >= 0)
-            return m & full  # the fold needs vectors within full
-        if isinstance(node, Necessity):
-            return full if truth_mask(node.child, full, atom, memo) == full else 0
-        # A B node over the cap or naming an unknown agent sends f to the walk for its error.
-        order = _positions(g, node.coalition)
-        space = len(g.actions) ** len(order)
-        if space > cap or not frozenset(g.agents).issuperset(node.coalition.members):
+    It keeps what depends on the game alone, once needed: proposition vectors,
+    coalition positions and the action masks.  Build one per call, or per game of a
+    sweep, and no longer: a game's valuation and profiles are dicts that may change."""
+
+    def __init__(self, g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> None:
+        self.game, self.cap, self.full = g, cap, (1 << len(g.plays)) - 1
+        self.agents, self.props, self.orders, self._masks = frozenset(g.agents), {}, {}, None
+
+    def masks(self) -> list[list[int]]:
+        if self._masks is None:
+            self._masks = _action_masks(self.game)
+        return self._masks
+
+    def first(self, f: Formula, value: bool) -> int | None:
+        """The least play where f has this truth value, or None."""
+        plays = self.mask(f) ^ (0 if value else self.full)
+        return (plays & -plays).bit_length() - 1 if plays else None
+
+    def mask(self, f: Formula) -> int:
+        g, cap, full, props, orders = self.game, self.cap, self.full, self.props, self.orders
+        memo: dict[int, int] = {}
+
+        def atom(node: Formula) -> int:
+            if isinstance(node, Prop):
+                if (m := props.get(node.name)) is None:
+                    # Only a Game built without validate has a negative index; it names no play.
+                    m = sum(1 << i for i in g.valuation.get(node.name, ()) if i >= 0)
+                    m = props[node.name] = m & full  # the fold needs vectors within full
+                return m
+            if isinstance(node, Necessity):
+                return full if truth_mask(node.child, full, atom, memo) == full else 0
+            c = node.coalition
+            if (order := orders.get(c.members)) is None:
+                order = orders[c.members] = _positions(g, c)
+            # A B node over the cap or naming an unknown agent sends f to the walk for its error.
+            space = len(g.actions) ** len(order)
+            if space > cap or not self.agents.issuperset(c.members):
+                _precheck(g, f, cap)
+            # The prevention condition does not depend on the play, so the
+            # B node's vector is the child's vector or all-false.  Each play
+            # agrees with exactly one of the coalition's strategies, so fewer
+            # child plays than strategies leave one unblocked without a search.
+            child = truth_mask(node.child, full, atom, memo)
+            if child.bit_count() < space:
+                return child
+            return child if _first_preventer(self.masks(), order, child) is not None else 0
+
+        try:
+            return truth_mask(f, full, atom, memo)
+        except Exception:  # a malformed game can fail the fold first; the walk's error comes first
             _precheck(g, f, cap)
-        # The prevention condition does not depend on the play, so the
-        # B node's vector is the child's vector or all-false.  Each play
-        # agrees with exactly one of the coalition's strategies, so fewer
-        # child plays than strategies leave one unblocked without a search.
-        child = truth_mask(node.child, full, atom, memo)
-        if child.bit_count() < space:
-            return child
-        if masks is None:
-            masks = _action_masks(g)
-        return child if _first_preventer(masks, order, child) is not None else 0
-
-    try:
-        return truth_mask(f, full, atom, memo)
-    except Exception:  # a malformed game can fail the fold first; the walk's error comes first
-        _precheck(g, f, cap)
-        raise
+            raise
 
 
 def _action_masks(g: Game) -> list[list[int]]:
@@ -287,12 +305,12 @@ def blame_witness(
     """
     _check_play_index(g, play_index)
     _precheck(g, f, cap, extra=coalition)
-    masks = _action_masks(g)
-    child = _mask(g, f, cap, masks)
+    evaluator = _Evaluator(g, cap)
+    child = evaluator.mask(f)
     if not child >> play_index & 1:
         return None
     order = _positions(g, coalition)
-    code = _first_preventer(masks, order, child)
+    code = _first_preventer(evaluator.masks(), order, child)
     bits = sum(1 << k for k in order)
     return None if code is None else Strategy(coalition, _choice(g, bits, code))
 
@@ -329,8 +347,8 @@ def blamable_coalitions(
         if space > cap:
             raise StrategySpaceError(Coalition(sorted(g.agents)[:size]), space, cap)
 
-    masks = _action_masks(g)
-    child = _mask(g, f, cap, masks)
+    evaluator = _Evaluator(g, cap)
+    child = evaluator.mask(f)
     if not (max_size and child >> play_index & 1):
         return BlameReport(play_index, f, max_size, ())
     agents = sorted((a, k) for k, a in enumerate(g.agents))
@@ -339,7 +357,7 @@ def blamable_coalitions(
         check_ident(a, "agent id")
         if a == before:
             raise ValueError(f"duplicate agent {a!r}")
-    n, m = len(g.agents), len(g.actions)
+    n, m, masks = len(g.agents), len(g.actions), evaluator.masks()
     if _first_preventer(masks, tuple(range(n)), child) is None:
         return BlameReport(play_index, f, max_size, ())
     if (count := sum(comb(n, size) for size in range(1, max_size + 1))) > cap:
@@ -383,5 +401,4 @@ def blamable_coalitions(
 
 def valid_in_game(g: Game, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> int | None:
     """None when the formula holds at every play, else the least failing index."""
-    failing = _mask(g, f, cap) ^ ((1 << len(g.plays)) - 1)  # the mask lies within the plays
-    return (failing & -failing).bit_length() - 1 if failing else None
+    return _Evaluator(g, cap).first(f, False)

@@ -153,16 +153,12 @@ class Formula(_Value):
     """Base of the node classes below.
 
     A node keeps its fields in its one slot, ``_key``; they are read-only
-    properties over it.  ``agents``, the agents its B nodes name, and
-    ``widest``, the size of its largest B coalition (0 without one), are
-    computed from the B nodes when read.
+    properties over it.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _key: tuple = ()
-    agents = property(lambda self: frozenset(a for n in blame_nodes(self) for a in n.coalition))
-    widest = property(lambda self: max([len(n.coalition) for n in blame_nodes(self)], default=0))
 
     def __init_subclass__(cls) -> None:
         # Each field becomes a read-only property over its place in _key.

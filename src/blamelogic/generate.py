@@ -144,8 +144,9 @@ def random_formula(params: GenParams, game: Game) -> Formula:
     return _draw(params.seed, params.formula_depth, game)
 
 
-def _draw(seed: int, depth: int, game: Game) -> Formula:
-    return _formula(SplitMix64(seed), depth, sorted(game.valuation) or ["p"], game.agents)
+def _leaf_table(game: Game) -> tuple:
+    """The leaves of the game's formulas: a Prop per proposition (or "p"), Top and Bottom."""
+    return tuple(Prop(name) for name in sorted(game.valuation) or ["p"]), Top(), Bottom()
 
 
 _LEAVES = (Prop, Prop, Prop, Top, Bottom)
@@ -153,21 +154,27 @@ _NODES = (Prop, Not, Implies, And, Or, Iff, Necessity, possibly, Blame)
 _BINARY = frozenset({Implies, And, Or, Iff})
 
 
-def _formula(rng: SplitMix64, depth: int, props: list[str], agents: Sequence[str]) -> Formula:
-    kind = rng.choice(_LEAVES) if depth <= 0 else rng.choice(_NODES)
-    if kind is possibly and depth < 3:
-        kind = Not  # "<N>" desugars to three nodes, so it needs the room
-    if kind is Prop:
-        return Prop(rng.choice(props))
-    if kind is Top or kind is Bottom:
-        return kind()
-    if kind in _BINARY:
-        left = _formula(rng, depth - 1, props, agents)
-        return kind(left, _formula(rng, depth - 1, props, agents))
-    if kind is Blame:
-        coalition = Coalition(rng.subset(agents))
-        return Blame(coalition, _formula(rng, depth - 1, props, agents))
-    return kind(_formula(rng, depth - (3 if kind is possibly else 1), props, agents))
+def _draw(seed: int, depth: int, game: Game, leaves: tuple | None = None) -> Formula:
+    """The formula that ``seed`` draws over the game; ``leaves`` is its ``_leaf_table``."""
+    props, top, bottom = leaves or _leaf_table(game)
+    agents, next64 = game.agents, SplitMix64(seed).next64  # one call a draw
+
+    def formula(depth: int) -> Formula:
+        kind = _LEAVES[next64() % 5] if depth <= 0 else _NODES[next64() % 9]
+        if kind is possibly and depth < 3:
+            kind = Not  # "<N>" desugars to three nodes, so it needs the room
+        if kind is Prop:
+            return props[next64() % len(props)]
+        if kind is Top or kind is Bottom:
+            return top if kind is Top else bottom
+        if kind in _BINARY:
+            left = formula(depth - 1)
+            return kind(left, formula(depth - 1))
+        if kind is Blame:
+            return Blame(Coalition([a for a in agents if next64() % 2]), formula(depth - 1))
+        return kind(formula(depth - (3 if kind is possibly else 1)))
+
+    return formula(depth)
 
 
 def _corpus_game(params: GenParams, sub_seed: int) -> tuple[Game, SplitMix64]:
@@ -191,12 +198,14 @@ def corpus_games(params: GenParams, count: int) -> list[Game]:
     return [_corpus_game(params, master.next64())[0] for _ in range(count)]
 
 
-def _sample_subst(rng: SplitMix64, params: GenParams, game: Game, schema_name: str) -> dict:
+def _sample_subst(
+    rng: SplitMix64, params: GenParams, game: Game, schema_name: str, leaves: tuple | None = None
+) -> dict:
     schema = SCHEMAS[schema_name]
     subst: dict = {}
 
     def draw() -> Formula:
-        return _draw(rng.next64(), params.formula_depth, game)
+        return _draw(rng.next64(), params.formula_depth, game, leaves)
 
     if "phi" in schema.metavars:
         subst["phi"] = draw()
@@ -210,6 +219,18 @@ def _sample_subst(rng: SplitMix64, params: GenParams, game: Game, schema_name: s
             extra = rng.subset([a for a in game.agents if a not in c])
             subst["D"] = Coalition(c + extra if schema.side_condition == "subset(C,D)" else extra)
     return subst
+
+
+def _first_play(
+    game: Game, evaluate_all_fn: Callable[[Game, Formula], checker.EvalTable] | None
+) -> Callable[[Formula, bool], int | None]:
+    """``first(f, value)``: the least play where f has that truth value, or None.
+    Without ``evaluate_all_fn``, one evaluator answers for all the game's formulas."""
+    if evaluate_all_fn is None:
+        return checker._Evaluator(game).first
+    return lambda f, value: next(
+        (i for i, v in enumerate(evaluate_all_fn(game, f).truth) if bool(v) is value), None
+    )
 
 
 def soundness_sweep(
@@ -232,7 +253,6 @@ def soundness_sweep(
             f"games ({games}) and instances_per_schema ({instances_per_schema})"
             " must not be negative"
         )
-    evaluate = evaluate_all_fn or checker.evaluate_all
     schema_names = sorted(SCHEMAS)
     totals = {name: 0 for name in schema_names}
     extras = {"necessitation": 0, "empty_coalition": 0}
@@ -252,29 +272,23 @@ def soundness_sweep(
     master = SplitMix64(params.seed)
     for index in range(games):
         game, rng = _corpus_game(params, master.next64())
+        first, leaves = _first_play(game, evaluate_all_fn), _leaf_table(game)
         for name in schema_names:
             for _ in range(instances_per_schema):
-                instance = instantiate_schema(name, _sample_subst(rng, params, game, name))
-                table = evaluate(game, instance)
+                instance = instantiate_schema(name, _sample_subst(rng, params, game, name, leaves))
                 totals[name] += 1
-                for play, value in enumerate(table.truth):
-                    if not value:
-                        record(index, game, name, instance, play)
-                        break
+                if (play := first(instance, False)) is not None:
+                    record(index, game, name, instance, play)
         for _ in range(3):
-            f = _draw(rng.next64(), params.formula_depth, game)
-            if all(evaluate(game, f).truth):
+            f = _draw(rng.next64(), params.formula_depth, game, leaves)
+            if first(f, False) is None:
                 extras["necessitation"] += 1
-                boxed = evaluate(game, Necessity(f)).truth
-                if not all(boxed):
-                    record(index, game, "necessitation", Necessity(f), boxed.index(False))
+                if (play := first(Necessity(f), False)) is not None:
+                    record(index, game, "necessitation", Necessity(f), play)
             empty = Blame(Coalition(), f)
             extras["empty_coalition"] += 1
-            table = evaluate(game, empty)
-            for play, value in enumerate(table.truth):
-                if value:
-                    record(index, game, "empty_coalition", empty, play)
-                    break
+            if (play := first(empty, True)) is not None:
+                record(index, game, "empty_coalition", empty, play)
 
     return {
         "seed": params.seed,

@@ -21,7 +21,8 @@ from blamelogic import (
     satisfies,
     valid_in_game,
 )
-from blamelogic.checker import DEFAULT_STRATEGY_CAP, _mask, _precheck
+from blamelogic.checker import DEFAULT_STRATEGY_CAP, _Evaluator, _precheck
+from blamelogic.formula import blame_nodes
 from blamelogic.generate import (
     GenParams,
     SplitMix64,
@@ -273,7 +274,7 @@ class TestStrayValuationBits:
             g = Game(g.agents, g.actions, g.outcomes, g.plays,
                      {name: ix | {n + rng.below(64)} for name, ix in g.valuation.items()})
             f = _draw(rng.next64(), k % 5, g)
-            m = _mask(g, f)
+            m = _Evaluator(g).mask(f)
             assert m >> n == 0, (f, n)
             assert [bool(m >> i & 1) for i in range(n)] == [satisfies(g, i, f) for i in range(n)]
 
@@ -424,6 +425,11 @@ def walk_precheck(g, f, cap, extra=None):
             raise StrategySpaceError(c, len(g.actions) ** len(c), cap)
 
 
+def widest(f):
+    """The size of the formula's largest B coalition, 0 without one."""
+    return max([len(n.coalition) for n in blame_nodes(f)], default=0)
+
+
 def outcome(check, *args):
     try:
         check(*args)
@@ -450,8 +456,8 @@ def test_precheck_facts_raise_what_the_walk_raises():
                     expected = outcome(walk_precheck, g, f, cap, extra)
                     assert outcome(_precheck, g, f, cap, extra) == expected
                     seen.add(expected and expected[0])
-                    both = expected and expected[0] == "agents" and f.widest and (
-                        len(g.actions) ** max(f.widest, len(extra or ())) > cap
+                    both = expected and expected[0] == "agents" and widest(f) and (
+                        len(g.actions) ** max(widest(f), len(extra or ())) > cap
                     )
                     seen.add("both" if both else None)
     assert seen == {None, "agents", "cap", "both"}
@@ -474,8 +480,8 @@ def test_the_fold_raises_what_the_walk_raises():
                     assert outcome(lambda: evaluate_all(g, f, cap=cap)) == expected, f
                     assert outcome(lambda: valid_in_game(g, f, cap=cap)) == expected, f
                     seen.add(expected and expected[0])
-                    both = expected and expected[0] == "agents" and f.widest and (
-                        len(g.actions) ** f.widest > cap
+                    both = expected and expected[0] == "agents" and widest(f) and (
+                        len(g.actions) ** widest(f) > cap
                     )
                     seen.add("both" if both else None)
     assert seen == {None, "agents", "cap", "both"}
@@ -509,19 +515,74 @@ def test_a_malformed_game_reports_the_guard_error_first():
             route(g, parse("p & B{a} p"))
 
 
+def test_the_action_masks_are_built_only_when_needed():
+    # Play 0's profile lacks agent b, so building the action masks fails;
+    # a formula false at the play, or a B node with no child play, never needs them.
+    g = Game(("a", "b"), ("x",), ("o",), (Play({"a": "x"}, "o"),), {"q": {0}})
+    assert blame_witness(g, 0, Coalition(["a"]), parse("p")) is None
+    assert blamable_coalitions(g, 0, parse("p")).entries == ()
+    assert evaluate_all(g, parse("q & B{a} p")).truth == (False,)
+
+
 def test_a_shared_subformula_is_walked_once():
-    # 2**64 paths through 65 nodes: the guard and the facts must not follow each path.
+    # 2**64 paths through 65 nodes: the guard and blame_nodes must not follow each path.
     g = Game(("a",), ("x", "y"), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
     f = parse("B{a} p")
     for _ in range(64):
         f = And(f, f)
-    assert f.agents == {"a"} and f.widest == 1
+    assert [n.coalition for n in blame_nodes(f)] == [Coalition(["a"])]
     assert [e.coalition for e in blamable_coalitions(g, 0, f).entries] == [Coalition(["a"])]
     assert blame_witness(g, 0, Coalition(["a"]), f) == Strategy(["a"], {"a": "y"})
     with pytest.raises(ValueError, match=r"agents not in the game: \['ghost'\]"):
         evaluate_all(g, And(f, parse("B{ghost} p")))
     with pytest.raises(StrategySpaceError, match="over the cap 1"):
         evaluate_all(g, f, cap=1)
+
+
+def test_one_evaluator_per_game_matches_satisfies():
+    # One evaluator answers a game's formulas one after another, as a sweep
+    # does, raising ones among them.  Every vector must equal the oracle's
+    # bit for bit, stray bits outside the plays included, whatever came
+    # before it on this game or on an earlier one.
+    params = GenParams(seed=20260822, n_agents=4, n_actions=4, n_outcomes=4,
+                       n_plays=16, n_props=4, formula_depth=4)  # fmt: skip
+    plays = tuple(Play({"a": x, "b": y}, "w") for x, y in ("xx", "yx", "yy", "xy"))
+    games = corpus_games(params, 40) + [
+        Game(("a", "b"), ("x", "y"), ("w",), plays, {"p": {-1, 0}, "q": {-3, 2}}),
+        Game(("a", "b"), ("x", "y"), ("w",), plays, {"p": {1, 3, 70}, "q": {4}}),
+        Game(("a", "a", "b"), ("x", "y"), ("w",), plays, {"p": {0, 2}, "q": {1, 5}}),
+    ]
+    wide = random_game(GenParams(seed=1, n_agents=4, n_props=4))
+    rng = SplitMix64(20261020)
+
+    def oracle(g, f, cap):
+        _precheck(g, f, cap)  # a game without plays still raises
+        return sum(satisfies(g, i, f, cap=cap) << i for i in range(len(g.plays)))
+
+    def answer(route, *args):
+        """The route's vector, or outcome's account of what it raises."""
+        try:
+            return route(*args)
+        except ValueError:
+            return outcome(route, *args)
+
+    seen = set()
+    for g in games:
+        # Over the cap: a B node naming every agent, on a game with two or more.
+        cap = len(g.actions) ** max(1, len(set(g.agents)) - 1)
+        formulas = []
+        for k in range(24):
+            f = _draw(rng.next64(), k % 5, wide if k % 4 == 3 else g)
+            formulas.append(f)
+            if k % 8 == 5:
+                formulas += [Blame(["ghost"], f), Blame(g.agents, f)]
+        evaluator = _Evaluator(g, cap)
+        answers = [answer(evaluator.mask, f) for f in formulas]
+        for f, got in zip(formulas, answers):
+            assert got == answer(oracle, g, f, cap), f
+            seen.add(got[0] if isinstance(got, tuple) else "mask")
+        assert [answer(evaluator.mask, f) for f in formulas[::-1]] == answers[::-1]
+    assert seen == {"mask", "agents", "cap"}
 
 
 class TestCoalitionCountGuard:

@@ -10,16 +10,20 @@ from blamelogic import (
     Prop,
     Top,
     evaluate_all,
+    possibly,
     save,
     validate,
 )
 from blamelogic.checker import EvalTable
-from blamelogic.formula import And, Bottom, Iff, Implies, Or
+from blamelogic.formula import And, Bottom, Iff, Implies, Or, blame_nodes
 from blamelogic.generate import (
     AGENT_ROSTER,
     GenParams,
     PROP_ROSTER,
     SplitMix64,
+    _draw,
+    _first_play,
+    _leaf_table,
     _sample_subst,
     corpus_games,
     random_formula,
@@ -148,7 +152,7 @@ class TestRandomFormula:
             f = random_formula(params, g)
             assert f == random_formula(params, g)
             assert _depth(f) <= 4
-            assert f.agents <= set(g.agents)
+            assert {a for n in blame_nodes(f) for a in n.coalition} <= set(g.agents)
 
     def test_depth_zero_is_a_leaf(self):
         g = random_game(GenParams(seed=1))
@@ -232,6 +236,72 @@ def test_schema_instance_stream_is_pinned():
     assert digest.hexdigest() == (
         "8a5dd1bf3acf5c7cb2913bcce9e39070bffb5f8ae853dd758afc897f758dd8a9"
     )
+
+
+def reference_draw(rng, depth, props, agents):
+    """The draw through SplitMix64's methods, with a new leaf node at every leaf."""
+    nodes = (Prop, Not, Implies, And, Or, Iff, Necessity, possibly, Blame)
+    kind = rng.choice((Prop, Prop, Prop, Top, Bottom) if depth <= 0 else nodes)
+    if kind is possibly and depth >= 3:
+        return possibly(reference_draw(rng, depth - 3, props, agents))
+    if kind is Prop:
+        return Prop(rng.choice(props))
+    if kind in (Top, Bottom):
+        return kind()
+    if kind is Blame:
+        return Blame(rng.subset(agents), reference_draw(rng, depth - 1, props, agents))
+    if kind in (Not, Necessity, possibly):  # without room for its three nodes, possibly is Not
+        return (Necessity if kind is Necessity else Not)(reference_draw(rng, depth - 1, props, agents))
+    left = reference_draw(rng, depth - 1, props, agents)
+    return kind(left, reference_draw(rng, depth - 1, props, agents))
+
+
+def test_draws_with_and_without_the_leaf_table_agree():
+    params = GenParams(seed=20260822, n_agents=4, n_actions=4, n_outcomes=4,
+                       n_plays=16, n_props=4, formula_depth=4)  # fmt: skip
+    games = corpus_games(params, 25)
+    tables = [_leaf_table(g) for g in games]
+    rng = SplitMix64(20261021)
+    for k in range(2000):
+        game, leaves, seed = games[k % 25], tables[k % 25], rng.next64()
+        for depth in range(7):
+            shared, fresh = _draw(seed, depth, game, leaves), _draw(seed, depth, game)
+            assert shared == fresh and format_formula(shared) == format_formula(fresh)
+            props = sorted(game.valuation) or ["p"]
+            assert shared == reference_draw(SplitMix64(seed), depth, props, game.agents)
+
+
+def test_a_sweep_game_has_one_prop_node_per_name():
+    drawn = {}
+
+    def hook(game, formula):
+        drawn.setdefault(id(game), (game, []))[1].append(formula)  # both kept alive
+        return evaluate_all(game, formula)
+
+    soundness_sweep(GenParams(seed=3, n_agents=3, n_props=3), 12, 4, evaluate_all_fn=hook)
+    assert len(drawn) == 12
+    for _, formulas in drawn.values():
+        ids = {}
+        for f in formulas:
+            for node in _nodes(f):
+                if isinstance(node, Prop):
+                    ids.setdefault(node.name, set()).add(id(node))
+        assert ids and all(len(same) == 1 for same in ids.values())
+
+
+def test_the_hook_and_the_per_game_evaluator_give_one_report():
+    # CI checks the same at 500 games x 20 instances against the fuzz digest.
+    params = GenParams(20260822, 4, 4, 4, 16, 4, 4)
+    hooked = soundness_sweep(params, 30, 5, evaluate_all_fn=evaluate_all)
+    assert json.dumps(hooked, indent=2) == json.dumps(soundness_sweep(params, 30, 5), indent=2)
+    # A clean sweep never reports a play, so compare the play each route would report.
+    rng = SplitMix64(20261022)
+    for game in corpus_games(params, 30):
+        routes = _first_play(game, None), _first_play(game, evaluate_all)
+        for k in range(12):
+            f = _draw(rng.next64(), k % 5, game)
+            for value in (False, True):
+                assert routes[0](f, value) == routes[1](f, value), (f, value)
 
 
 class TestSweep:
