@@ -157,10 +157,10 @@ _BINARY = frozenset({Implies, And, Or, Iff})
 def _draw(seed: int, depth: int, game: Game, leaves: tuple | None = None) -> Formula:
     """The formula that ``seed`` draws over the game; ``leaves`` is its ``_leaf_table``."""
     props, top, bottom = leaves or _leaf_table(game)
-    agents, next64 = game.agents, SplitMix64(seed).next64  # one call a draw
+    agents, next64 = game.agents, SplitMix64(seed).next64  # bound once: one call a draw
 
     def formula(depth: int) -> Formula:
-        kind = _LEAVES[next64() % 5] if depth <= 0 else _NODES[next64() % 9]
+        kind = _LEAVES[next64() % len(_LEAVES)] if depth <= 0 else _NODES[next64() % len(_NODES)]
         if kind is possibly and depth < 3:
             kind = Not  # "<N>" desugars to three nodes, so it needs the room
         if kind is Prop:
