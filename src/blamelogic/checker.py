@@ -34,7 +34,6 @@ from .formula import (
     Top,
     _Record,
     blame_nodes,
-    check_ident,
     truth_mask,
 )
 from .game import Game, Strategy
@@ -177,11 +176,11 @@ class _Evaluator:
 
     It keeps what depends on the game alone, once needed: proposition vectors,
     coalition positions and the action masks.  Build one per call, or per game of a
-    sweep, and no longer: a game's valuation and profiles are dicts that may change."""
+    sweep: a Game is valid once built, and a changed valuation or profile needs a new one."""
 
     def __init__(self, g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> None:
         self.game, self.cap, self.full = g, cap, (1 << len(g.plays)) - 1
-        self.agents, self.props, self.orders, self._masks = frozenset(g.agents), {}, {}, None
+        self.props, self.orders, self._masks = {}, {}, None
 
     def masks(self) -> list[list[int]]:
         if self._masks is None:
@@ -200,9 +199,7 @@ class _Evaluator:
         def atom(node: Formula) -> int:
             if isinstance(node, Prop):
                 if (m := props.get(node.name)) is None:
-                    # Only a Game built without validate has a negative index; it names no play.
-                    m = sum(1 << i for i in g.valuation.get(node.name, ()) if i >= 0)
-                    m = props[node.name] = m & full  # the fold needs vectors within full
+                    m = props[node.name] = sum(1 << i for i in g.valuation.get(node.name, ()))
                 return m
             if isinstance(node, Necessity):
                 return full if truth_mask(node.child, full, atom, memo) == full else 0
@@ -211,7 +208,7 @@ class _Evaluator:
                 order = orders[c.members] = _positions(g, c)
             # A B node over the cap or naming an unknown agent sends f to the walk for its error.
             space = len(g.actions) ** len(order)
-            if space > cap or not self.agents.issuperset(c.members):
+            if space > cap or len(order) < len(c):
                 _precheck(g, f, cap)
             # The prevention condition does not depend on the play, so the
             # B node's vector is the child's vector or all-false.  Each play
@@ -222,11 +219,7 @@ class _Evaluator:
                 return child
             return child if _first_preventer(self.masks(), order, child) is not None else 0
 
-        try:
-            return truth_mask(f, full, atom, memo)
-        except Exception:  # a malformed game can fail the fold first; the walk's error comes first
-            _precheck(g, f, cap)
-            raise
+        return truth_mask(f, full, atom, memo)
 
 
 def _action_masks(g: Game) -> list[list[int]]:
@@ -353,10 +346,6 @@ def blamable_coalitions(
         return BlameReport(play_index, f, max_size, ())
     agents = sorted((a, k) for k, a in enumerate(g.agents))
     ids = [a for a, _ in agents]
-    for a, before in zip(ids, [None, *ids]):  # Coalition._canonical below trusts these
-        check_ident(a, "agent id")
-        if a == before:
-            raise ValueError(f"duplicate agent {a!r}")
     n, m, masks = len(g.agents), len(g.actions), evaluator.masks()
     if _first_preventer(masks, tuple(range(n)), child) is None:
         return BlameReport(play_index, f, max_size, ())

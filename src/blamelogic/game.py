@@ -20,7 +20,6 @@ __all__ = [
     "Strategy",
     "GameFormatError",
     "GameValidationError",
-    "validate",
     "load",
     "save",
 ]
@@ -31,7 +30,7 @@ class GameFormatError(ValueError):
 
 
 class GameValidationError(ValueError):
-    """The document parsed but the game breaks a structural invariant."""
+    """The game breaks a structural invariant; ``violations`` lists each breach."""
 
     def __init__(self, violations: list[str]) -> None:
         super().__init__("; ".join(violations))
@@ -49,6 +48,9 @@ class Play(_Record):
 
 
 class Game(_Record):
+    """A valid game: building one that breaks an invariant raises GameValidationError.
+    Changing its ``valuation`` or a play's ``profile`` voids that; build a new Game."""
+
     __slots__ = ("agents", "actions", "outcomes", "plays", "valuation")
 
     def __init__(
@@ -61,6 +63,8 @@ class Game(_Record):
     ) -> None:
         valuation = {name: frozenset(ix) for name, ix in dict(valuation).items()}
         self._fill(tuple(agents), tuple(actions), tuple(outcomes), tuple(plays), valuation)
+        if violations := _violations(self):
+            raise GameValidationError(violations)
 
 
 class Strategy(_Record):
@@ -84,7 +88,15 @@ class Strategy(_Record):
         return s
 
 
-def validate(g: Game) -> list[str]:
+def _ordered(items: Iterable) -> list:
+    """Sorted, or by type name and repr where the items do not compare."""
+    try:
+        return sorted(items)
+    except TypeError:
+        return sorted(items, key=lambda x: (type(x).__name__, repr(x)))
+
+
+def _violations(g: Game) -> list[str]:
     """All invariant violations, in a stable order; empty means ok."""
     out: list[str] = []
     seen_agents: set[str] = set()
@@ -120,16 +132,17 @@ def validate(g: Game) -> list[str]:
                 out.append(f"play {i}: action {x!r} not listed")
         if play.outcome not in outcome_set:
             out.append(f"play {i}: outcome {play.outcome!r} not listed")
-        key = (tuple(sorted(play.profile.items())), play.outcome)
+        key = (frozenset(play.profile.items()), play.outcome)
         if key in seen_plays:
             out.append(f"duplicate play {i}")
         seen_plays.add(key)
 
-    for name in sorted(g.valuation):
+    for name in _ordered(g.valuation):
         if not is_ident(name):
             out.append(f"invalid proposition name {name!r}")
-        for k in sorted(g.valuation[name]):
-            if not isinstance(k, int) or not 0 <= k < len(g.plays):
+        for k in _ordered(g.valuation[name]):
+            # save writes a bool as true, which load refuses
+            if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < len(g.plays):
                 out.append(f"valuation {name!r}: play index out of range: {k}")
     return out
 
@@ -156,7 +169,7 @@ def _read_json(document: bytes | str, error: type[ValueError]) -> object:
 
 
 def load(document: bytes | str) -> Game:
-    """Parse and validate a game document; raises on either failure."""
+    """Parse a game document; raises on a malformed document or an invalid game."""
     doc = _read_json(document, GameFormatError)
     if not isinstance(doc, dict):
         raise GameFormatError("top level must be an object")
@@ -200,11 +213,7 @@ def load(document: bytes | str) -> Game:
             raise GameFormatError(f"valuation {name!r} must be a list of play indices")
         valuation[name] = frozenset(indices)
 
-    game = Game(tuple(agents), tuple(actions), tuple(outcomes), tuple(plays), valuation)
-    violations = validate(game)
-    if violations:
-        raise GameValidationError(violations)
-    return game
+    return Game(tuple(agents), tuple(actions), tuple(outcomes), tuple(plays), valuation)
 
 
 def save(g: Game) -> bytes:

@@ -171,7 +171,8 @@ def _draw(seed: int, depth: int, game: Game, leaves: tuple | None = None) -> For
             left = formula(depth - 1)
             return kind(left, formula(depth - 1))
         if kind is Blame:
-            return Blame(Coalition([a for a in agents if next64() % 2]), formula(depth - 1))
+            members = tuple(sorted([a for a in agents if next64() % 2]))
+            return Blame(Coalition._canonical(members), formula(depth - 1))  # a game's ids are valid
         return kind(formula(depth - (3 if kind is possibly else 1)))
 
     return formula(depth)

@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from blamelogic import load
+from blamelogic import Game, GameValidationError, load
 
 SESSION_T0 = time.monotonic()
 
@@ -22,6 +22,14 @@ def replace(record, **changes):
     """A copy of a package record with the given fields changed."""
     fields = {name: getattr(record, name) for name in record.__slots__}
     return type(record)(**{**fields, **changes})
+
+
+def violations(*fields):
+    """The violations that building a Game from these fields reports."""
+    with pytest.raises(GameValidationError) as caught:
+        Game(*fields)
+    assert str(caught.value) == "; ".join(caught.value.violations)
+    return caught.value.violations
 
 
 def canonical_lopez_bytes():

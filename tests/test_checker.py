@@ -22,6 +22,7 @@ from blamelogic import (
     valid_in_game,
 )
 from blamelogic.checker import DEFAULT_STRATEGY_CAP, _Evaluator, _precheck
+from conftest import violations
 from blamelogic.formula import blame_nodes
 from blamelogic.generate import (
     GenParams,
@@ -148,10 +149,11 @@ class TestErrors:
             blame_witness(lopez, 0, Coalition(["ghost"]), parse("dead"))
 
     def test_duplicate_agent_in_an_unvalidated_game(self):
-        # Coalitions are built from the game's ids unchecked, so the search rejects repeats.
-        g = Game(("a", "a"), ("x", "y"), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
-        with pytest.raises(ValueError, match="^duplicate agent 'a'$"):
-            blamable_coalitions(g, 0, parse("p"))
+        # The search builds coalitions from the game's ids unchecked: no game repeats one.
+        fields = (("x", "y"), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
+        assert violations(("a", "a"), *fields) == ["duplicate agent 'a'"]
+        entries = blamable_coalitions(Game(("a",), *fields), 0, parse("p")).entries
+        assert [(e.coalition, e.witness.choice) for e in entries] == [(Coalition(["a"]), {"a": "y"})]
 
     def test_cap_is_never_silent(self):
         agents = tuple(f"g{i}" for i in range(5))
@@ -247,32 +249,44 @@ class TestSemanticsCorners:
 
 
 class TestStrayValuationBits:
-    """Games built directly, without validate, may name plays that do not exist."""
+    """No game names a play that does not exist, so every vector fits within the plays."""
 
     @pytest.mark.parametrize("text", ["N (p | !p)", "N p", "!p", "B{a} p", "p -> q"])
     def test_routes_agree(self, text):
-        g = Game(("a",), ("x",), ("w",), (Play({"a": "x"}, "w"),), {"p": frozenset({0, 5})})
+        fields = (("a",), ("x",), ("w",), (Play({"a": "x"}, "w"),))
+        assert violations(*fields, {"p": frozenset({0, 5})}) == [
+            "valuation 'p': play index out of range: 5"
+        ]
+        g = Game(*fields, {"p": frozenset({0})})
         f = parse(text)
         assert evaluate_all(g, f).truth == tuple(satisfies(g, i, f) for i in range(len(g.plays)))
 
     @pytest.mark.parametrize("text", ["p", "!p", "N !p", "B{a} p"])
     def test_negative_indices_name_no_play(self, text):
-        one = Game(("a",), ("x",), ("w",), (Play({"a": "x"}, "w"),), {"p": frozenset({-1})})
-        two = Game(("a",), ("x", "y"), ("w",), (Play({"a": "x"}, "w"), Play({"a": "y"}, "w")),
-                   {"p": frozenset({-2, 1})})  # fmt: skip
+        one = (("a",), ("x",), ("w",), (Play({"a": "x"}, "w"),))
+        two = (("a",), ("x", "y"), ("w",), (Play({"a": "x"}, "w"), Play({"a": "y"}, "w")))
+        assert violations(*one, {"p": frozenset({-1})}) == [
+            "valuation 'p': play index out of range: -1"
+        ]
+        assert violations(*two, {"p": frozenset({-2, 1})}) == [
+            "valuation 'p': play index out of range: -2"
+        ]
         f = parse(text)
-        for g in (one, two):
+        for g in (Game(*one, {"p": frozenset()}), Game(*two, {"p": frozenset({1})})):
             assert evaluate_all(g, f).truth == tuple(satisfies(g, i, f) for i in range(len(g.plays)))
 
     def test_prop_vectors_are_clipped_before_the_fold(self):
-        # The fold negates with ^ full, so an unclipped stray bit would
-        # leak into the vector of every formula above the Prop.
+        # The fold negates with ^ full, so a stray bit would leak into the
+        # vector of every formula above the Prop; a game with one is refused.
         rng = SplitMix64(20261019)
         for k in range(600):
             g = splitmix_game(rng, 1 + rng.below(2), 2, 1 + rng.below(12))
             n = len(g.plays)
-            g = Game(g.agents, g.actions, g.outcomes, g.plays,
-                     {name: ix | {n + rng.below(64)} for name, ix in g.valuation.items()})
+            stray = {name: n + rng.below(64) for name in g.valuation}
+            fields = (g.agents, g.actions, g.outcomes, g.plays)
+            assert violations(*fields, {name: ix | {stray[name]} for name, ix in g.valuation.items()}) == [
+                f"valuation {name!r}: play index out of range: {stray[name]}" for name in sorted(stray)
+            ]
             f = _draw(rng.next64(), k % 5, g)
             m = _Evaluator(g).mask(f)
             assert m >> n == 0, (f, n)
@@ -488,8 +502,11 @@ def test_the_fold_raises_what_the_walk_raises():
 
 
 def test_a_repeated_agent_does_not_hide_an_unknown_one():
-    # Agent 'a' sits at two positions, as many as B{a,ghost} has members.
-    g = Game(("a", "a"), ("x",), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
+    # No game lists 'a' twice, at as many positions as B{a,ghost} has members,
+    # so the fold's guard finds ghost by counting the game positions it gets.
+    fields = (("x",), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
+    assert violations(("a", "a"), *fields) == ["duplicate agent 'a'"]
+    g = Game(("a",), *fields)
     f = parse("B{a,ghost} p")
     routes = [
         lambda: evaluate_all(g, f),
@@ -502,26 +519,25 @@ def test_a_repeated_agent_does_not_hide_an_unknown_one():
             route()
 
 
-def test_a_malformed_game_reports_the_guard_error_first():
-    # The valuation of p fails the fold before it reaches the B node; the
-    # guard's error is still the one reported.
-    g = Game(("a",), ("x",), ("o",), (Play({"a": "x"}, "o"),), {"p": {"z"}})
-    for route in (evaluate_all, valid_in_game):
-        with pytest.raises(ValueError, match=r"^agents not in the game: \['ghost'\]$"):
-            route(g, parse("p & B{ghost} p"))
-        with pytest.raises(StrategySpaceError, match="over the cap 0"):
-            route(g, parse("p & B{a} p"), cap=0)
-        with pytest.raises(TypeError):
-            route(g, parse("p & B{a} p"))
+def test_the_action_masks_are_built_only_when_needed(monkeypatch):
+    # A formula false at the play, or a B node with fewer child plays than
+    # strategies, never needs them.
+    plays = (Play({"a": "x", "b": "x"}, "o"), Play({"a": "y", "b": "x"}, "o"))
+    g = Game(("a", "b"), ("x", "y"), ("o",), plays, {"q": {0, 1}})
+    evaluator = _Evaluator(g)
+    assert evaluator.mask(parse("q & B{a} p")) == 0
+    assert evaluator.mask(parse("B{a,b} q")) == 0b11
+    assert evaluator._masks is None
+    assert evaluator.mask(parse("B{b} q")) == 0b11  # b playing y prevents q
+    assert evaluator._masks is not None
 
+    def unbuilt(game):
+        raise AssertionError("the action masks were built")
 
-def test_the_action_masks_are_built_only_when_needed():
-    # Play 0's profile lacks agent b, so building the action masks fails;
-    # a formula false at the play, or a B node with no child play, never needs them.
-    g = Game(("a", "b"), ("x",), ("o",), (Play({"a": "x"}, "o"),), {"q": {0}})
+    monkeypatch.setattr("blamelogic.checker._action_masks", unbuilt)
     assert blame_witness(g, 0, Coalition(["a"]), parse("p")) is None
     assert blamable_coalitions(g, 0, parse("p")).entries == ()
-    assert evaluate_all(g, parse("q & B{a} p")).truth == (False,)
+    assert evaluate_all(g, parse("q & B{a} p")).truth == (False, False)
 
 
 def test_a_shared_subformula_is_walked_once():
@@ -542,16 +558,10 @@ def test_a_shared_subformula_is_walked_once():
 def test_one_evaluator_per_game_matches_satisfies():
     # One evaluator answers a game's formulas one after another, as a sweep
     # does, raising ones among them.  Every vector must equal the oracle's
-    # bit for bit, stray bits outside the plays included, whatever came
-    # before it on this game or on an earlier one.
+    # bit for bit, whatever came before it on this game or on an earlier one.
     params = GenParams(seed=20260822, n_agents=4, n_actions=4, n_outcomes=4,
                        n_plays=16, n_props=4, formula_depth=4)  # fmt: skip
-    plays = tuple(Play({"a": x, "b": y}, "w") for x, y in ("xx", "yx", "yy", "xy"))
-    games = corpus_games(params, 40) + [
-        Game(("a", "b"), ("x", "y"), ("w",), plays, {"p": {-1, 0}, "q": {-3, 2}}),
-        Game(("a", "b"), ("x", "y"), ("w",), plays, {"p": {1, 3, 70}, "q": {4}}),
-        Game(("a", "a", "b"), ("x", "y"), ("w",), plays, {"p": {0, 2}, "q": {1, 5}}),
-    ]
+    games = corpus_games(params, 40)
     wide = random_game(GenParams(seed=1, n_agents=4, n_props=4))
     rng = SplitMix64(20261020)
 
@@ -569,7 +579,7 @@ def test_one_evaluator_per_game_matches_satisfies():
     seen = set()
     for g in games:
         # Over the cap: a B node naming every agent, on a game with two or more.
-        cap = len(g.actions) ** max(1, len(set(g.agents)) - 1)
+        cap = len(g.actions) ** max(1, len(g.agents) - 1)
         formulas = []
         for k in range(24):
             f = _draw(rng.next64(), k % 5, wide if k % 4 == 3 else g)

@@ -12,9 +12,8 @@ from blamelogic import (
     Strategy,
     load,
     save,
-    validate,
 )
-from conftest import LOPEZ_DOC, canonical_lopez_bytes
+from conftest import LOPEZ_DOC, canonical_lopez_bytes, replace, violations
 
 
 def doc_with(**overrides):
@@ -81,7 +80,7 @@ class TestLoad:
             load(doc_with(valuation=[["dead", 2]]))
 
     def test_profile_actions_must_be_strings(self):
-        # a shape error, caught before validate could call it an unlisted action
+        # a shape error, caught before the Game could call it an unlisted action
         with pytest.raises(GameFormatError, match="^play 0 must be "):
             load(doc_with(plays=[{"profile": {"lopez": 3}, "outcome": "alive"}]))
 
@@ -97,54 +96,81 @@ class TestLoad:
 
 
 class TestValidate:
+    """Building a Game checks it; an invalid one is never built."""
+
     def test_ok_game_has_no_violations(self, lopez):
-        assert validate(lopez) == []
+        assert replace(lopez) == lopez
 
     def test_zero_play_game_is_valid(self):
         g = Game(("a",), ("x",), ("w",), (), {})
-        assert validate(g) == []
         assert load(save(g)) == g
 
     def test_empty_action_set(self):
-        g = Game(("a",), (), ("w",), (), {})
-        assert "empty action set" in validate(g)
+        assert violations(("a",), (), ("w",), (), {}) == ["empty action set"]
 
     def test_empty_action_name(self):
-        g = Game(("a",), ("x", ""), ("w",), (Play({"a": "x"}, "w"),), {})
-        assert validate(g) == ["invalid action ''"]
+        fields = (("a",), ("x", ""), ("w",), (Play({"a": "x"}, "w"),), {})
+        assert violations(*fields) == ["invalid action ''"]
 
     def test_agent_id_shape(self):
-        g = Game(("Ana",), ("x",), ("w",), (), {})
-        assert validate(g) == ["invalid agent id 'Ana'"]
+        assert violations(("Ana",), ("x",), ("w",), (), {}) == ["invalid agent id 'Ana'"]
 
     def test_play_references(self):
         plays = (
             Play({"a": "x", "b": "x"}, "w"),
             Play({"a": "z"}, "nope"),
         )
-        g = Game(("a",), ("x",), ("w",), plays, {})
-        msgs = validate(g)
-        assert "play 0: unknown agent 'b'" in msgs
-        assert "play 1: action 'z' not listed" in msgs
-        assert "play 1: outcome 'nope' not listed" in msgs
+        assert violations(("a",), ("x",), ("w",), plays, {}) == [
+            "play 0: unknown agent 'b'",
+            "play 1: action 'z' not listed",
+            "play 1: outcome 'nope' not listed",
+        ]
+        # Agent names of mixed types do not compare; the unknown one is still listed.
+        plays = (Play({"a": "x", 3: "x"}, "w"),)
+        assert violations(("a",), ("x",), ("w",), plays, {}) == ["play 0: unknown agent 3"]
 
     def test_missing_agent_in_profile(self):
-        g = Game(("a", "b"), ("x",), ("w",), (Play({"a": "x"}, "w"),), {})
-        assert "play 0: profile missing agent 'b'" in validate(g)
+        fields = (("a", "b"), ("x",), ("w",), (Play({"a": "x"}, "w"),), {})
+        assert violations(*fields) == ["play 0: profile missing agent 'b'"]
 
     def test_duplicate_play(self):
         plays = (Play({"a": "x"}, "w"), Play({"a": "x"}, "w"))
-        g = Game(("a",), ("x",), ("w",), plays, {})
-        assert "duplicate play 1" in validate(g)
+        assert violations(("a",), ("x",), ("w",), plays, {}) == ["duplicate play 1"]
 
     def test_same_profile_different_outcome_is_fine(self):
         plays = (Play({"a": "x"}, "w"), Play({"a": "x"}, "v"))
         g = Game(("a",), ("x",), ("w", "v"), plays, {})
-        assert validate(g) == []
+        assert load(save(g)) == g
 
     def test_proposition_name_shape(self):
-        g = Game(("a",), ("x",), ("w",), (Play({"a": "x"}, "w"),), {"Dead": [0]})
-        assert "invalid proposition name 'Dead'" in validate(g)
+        one = (("a",), ("x",), ("w",), (Play({"a": "x"}, "w"),))
+        assert violations(*one, {"Dead": [0]}) == ["invalid proposition name 'Dead'"]
+        # Names of mixed types do not compare; each bad one is still listed.
+        assert violations(*one, {"p": {0}, 3: {0}}) == ["invalid proposition name 3"]
+        assert violations(*one, {"p": {0}, 3: {0}, "Q": {1}}) == [
+            "invalid proposition name 3",
+            "invalid proposition name 'Q'",
+            "valuation 'Q': play index out of range: 1",
+        ]
+
+    def test_play_index_shape(self):
+        two = (("a",), ("x", "y"), ("w",), (Play({"a": "x"}, "w"), Play({"a": "y"}, "w")))
+        # save would write True as true, which load refuses.
+        assert violations(*two, {"p": {True}}) == ["valuation 'p': play index out of range: True"]
+        assert violations(*two, {"p": {-1, 1, 2}}) == [
+            "valuation 'p': play index out of range: -1",
+            "valuation 'p': play index out of range: 2",
+        ]
+        assert violations(*two, {"p": {2.5, 9, 0}}) == [
+            "valuation 'p': play index out of range: 2.5",
+            "valuation 'p': play index out of range: 9",
+        ]
+        # Indices of mixed types do not compare; each bad one is still listed.
+        assert violations(*two, {"p": {0, "z"}}) == ["valuation 'p': play index out of range: z"]
+        assert violations(*two, {"p": {0, "z", None}}) == [
+            "valuation 'p': play index out of range: None",
+            "valuation 'p': play index out of range: z",
+        ]
 
 
 class TestStrategy:
@@ -190,7 +216,38 @@ def _build_game(n_agents, n_actions, n_outcomes, picks, val):
 
 @given(games_strategy)
 def test_round_trip_random_games(g):
-    assert validate(g) == []
     blob = save(g)
     assert load(blob) == g
     assert save(load(blob)) == blob
+
+
+# Each pool mixes valid values with invalid ones.
+any_fields = st.tuples(
+    st.lists(st.sampled_from(["a", "b", "A", "true", "", 3]), max_size=3),
+    st.lists(st.sampled_from(["x", "y", "", 0]), max_size=3),
+    st.lists(st.sampled_from(["w", "v", "", None]), max_size=2),
+    st.lists(
+        st.builds(
+            Play,
+            st.dictionaries(st.sampled_from(["a", "b", "c", 3]), st.sampled_from(["x", "y", "z", 0])),
+            st.sampled_from(["w", "v", "u", None]),
+        ),
+        max_size=4,
+    ),
+    st.dictionaries(
+        st.sampled_from(["p", "q", "P", "true", 3]),
+        st.frozensets(st.one_of(st.integers(-2, 4), st.booleans(), st.sampled_from(["z", 2.5]))),
+        max_size=3,
+    ),
+)
+
+
+@given(any_fields)
+def test_every_game_that_builds_round_trips(fields):
+    # Whatever the fields, a Game either is not built, with a reason, or saves and loads back.
+    try:
+        g = Game(*fields)
+    except GameValidationError as e:
+        assert e.violations
+        return
+    assert load(save(g)) == g
