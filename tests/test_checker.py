@@ -22,7 +22,6 @@ from blamelogic import (
     valid_in_game,
 )
 from blamelogic.checker import DEFAULT_STRATEGY_CAP, _Evaluator, _precheck
-from conftest import violations
 from blamelogic.formula import blame_nodes
 from blamelogic.generate import (
     GenParams,
@@ -32,6 +31,7 @@ from blamelogic.generate import (
     random_formula,
     random_game,
 )
+from conftest import violations
 
 
 def eval_text(game, text):
@@ -283,9 +283,9 @@ class TestStrayValuationBits:
             g = splitmix_game(rng, 1 + rng.below(2), 2, 1 + rng.below(12))
             n = len(g.plays)
             stray = {name: n + rng.below(64) for name in g.valuation}
-            fields = (g.agents, g.actions, g.outcomes, g.plays)
-            assert violations(*fields, {name: ix | {stray[name]} for name, ix in g.valuation.items()}) == [
-                f"valuation {name!r}: play index out of range: {stray[name]}" for name in sorted(stray)
+            valuation = {name: ix | {stray[name]} for name, ix in g.valuation.items()}
+            assert violations(g.agents, g.actions, g.outcomes, g.plays, valuation) == [
+                f"valuation {name!r}: play index out of range: {k}" for name, k in sorted(stray.items())
             ]
             f = _draw(rng.next64(), k % 5, g)
             m = _Evaluator(g).mask(f)
@@ -502,8 +502,8 @@ def test_the_fold_raises_what_the_walk_raises():
 
 
 def test_a_repeated_agent_does_not_hide_an_unknown_one():
-    # No game lists 'a' twice, at as many positions as B{a,ghost} has members,
-    # so the fold's guard finds ghost by counting the game positions it gets.
+    # Listing 'a' twice would give B{a,ghost} as many game positions as members;
+    # no game does, so the fold's guard finds ghost by counting positions.
     fields = (("x",), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
     assert violations(("a", "a"), *fields) == ["duplicate agent 'a'"]
     g = Game(("a",), *fields)
