@@ -9,7 +9,7 @@ looks for a strategy with none.  The two routes must agree bit for bit,
 so ``satisfies`` stays deliberately naive as an oracle.
 
 Both routes check every B node in the formula for agents the game lacks
-and then against the strategy enumeration cap, so they raise identical
+and then against the fixed ``STRATEGY_CAP``, so they raise identical
 errors as well.  ``_precheck``'s walk states those errors once; the fold
 checks each B node as it reaches it and walks only when one fails.
 """
@@ -40,7 +40,7 @@ from .game import Game, Strategy
 from .parser import format_formula
 
 __all__ = [
-    "DEFAULT_STRATEGY_CAP",
+    "STRATEGY_CAP",
     "StrategySpaceError",
     "CoalitionCountError",
     "EvalTable",
@@ -53,20 +53,20 @@ __all__ = [
     "valid_in_game",
 ]
 
-DEFAULT_STRATEGY_CAP = 1 << 20
+STRATEGY_CAP = 1 << 20
 
 
 class StrategySpaceError(ValueError):
-    """|actions|^|coalition| exceeds the enumeration cap for some B node."""
+    """|actions|^|coalition| exceeds STRATEGY_CAP for some B node; ``cap`` records it."""
 
-    def __init__(self, coalition: Coalition, size: int, cap: int) -> None:
+    def __init__(self, coalition: Coalition, size: int) -> None:
+        self.coalition, self.size, self.cap = coalition, size, STRATEGY_CAP
         super().__init__(
-            f"strategy space for coalition {coalition} has {size} elements, over the cap {cap}"
+            f"strategy space for coalition {coalition} has {size} elements, over the cap {self.cap}"
         )
-        self.coalition, self.size, self.cap = coalition, size, cap
 
     def __reduce__(self):
-        return type(self), (self.coalition, self.size, self.cap)
+        return type(self), (self.coalition, self.size)
 
 
 class CoalitionCountError(ValueError):
@@ -104,7 +104,7 @@ class BlameReport(_Record):
         }
 
 
-def _precheck(g: Game, f: Formula, cap: int, extra: Coalition | None = None) -> None:
+def _precheck(g: Game, f: Formula, extra: Coalition | None = None) -> None:
     # Check every B node, so both evaluation routes fail alike regardless
     # of short-circuiting: an unknown agent anywhere before any strategy
     # space over the cap, in walk order.
@@ -115,8 +115,8 @@ def _precheck(g: Game, f: Formula, cap: int, extra: Coalition | None = None) -> 
     if unknown:
         raise ValueError(f"agents not in the game: {sorted(unknown)}")
     for c in coalitions:
-        if len(c) and (space := len(g.actions) ** len(c)) > cap:
-            raise StrategySpaceError(c, space, cap)
+        if len(c) and (space := len(g.actions) ** len(c)) > STRATEGY_CAP:
+            raise StrategySpaceError(c, space)
 
 
 def _check_play_index(g: Game, play_index: int) -> None:
@@ -124,10 +124,10 @@ def _check_play_index(g: Game, play_index: int) -> None:
         raise IndexError(f"play index {play_index} out of range for {len(g.plays)} plays")
 
 
-def satisfies(g: Game, play_index: int, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> bool:
+def satisfies(g: Game, play_index: int, f: Formula) -> bool:
     """Truth at one play, by direct recursion over the definition."""
     _check_play_index(g, play_index)
-    _precheck(g, f, cap)
+    _precheck(g, f)
     return _sat(g, play_index, f)
 
 
@@ -165,9 +165,9 @@ def _sat(g: Game, i: int, f: Formula) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def evaluate_all(g: Game, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> EvalTable:
+def evaluate_all(g: Game, f: Formula) -> EvalTable:
     """Truth vector over all plays, memoised per node of the formula tree."""
-    mask = _Evaluator(g, cap).mask(f)
+    mask = _Evaluator(g).mask(f)
     return EvalTable(f, tuple(bool(mask >> i & 1) for i in range(len(g.plays))))
 
 
@@ -178,8 +178,8 @@ class _Evaluator:
     coalition positions and the action masks.  Build one per call, or per game of a
     sweep: a Game is valid once built, and a changed valuation or profile needs a new one."""
 
-    def __init__(self, g: Game, cap: int = DEFAULT_STRATEGY_CAP) -> None:
-        self.game, self.cap, self.full = g, cap, (1 << len(g.plays)) - 1
+    def __init__(self, g: Game) -> None:
+        self.game, self.full = g, (1 << len(g.plays)) - 1
         self.props, self.orders, self._masks = {}, {}, None
 
     def masks(self) -> list[list[int]]:
@@ -193,7 +193,7 @@ class _Evaluator:
         return (plays & -plays).bit_length() - 1 if plays else None
 
     def mask(self, f: Formula) -> int:
-        g, cap, full, props, orders = self.game, self.cap, self.full, self.props, self.orders
+        g, cap, full, props, orders = self.game, STRATEGY_CAP, self.full, self.props, self.orders
         memo: dict[int, int] = {}
 
         def atom(node: Formula) -> int:
@@ -209,7 +209,7 @@ class _Evaluator:
             # A B node over the cap or naming an unknown agent sends f to the walk for its error.
             space = len(g.actions) ** len(order)
             if space > cap or len(order) < len(c):
-                _precheck(g, f, cap)
+                _precheck(g, f)
             # The prevention condition does not depend on the play, so the
             # B node's vector is the child's vector or all-false.  Each play
             # agrees with exactly one of the coalition's strategies, so fewer
@@ -283,22 +283,15 @@ def _choice(g: Game, bits: int, code: int) -> dict[str, str]:
     return dict(sorted(picks))
 
 
-def blame_witness(
-    g: Game,
-    play_index: int,
-    coalition: Coalition,
-    f: Formula,
-    *,
-    cap: int = DEFAULT_STRATEGY_CAP,
-) -> Strategy | None:
+def blame_witness(g: Game, play_index: int, coalition: Coalition, f: Formula) -> Strategy | None:
     """A preventing strategy for the coalition, when it is blamable here.
 
     The strategy is the lexicographically first one, with members in game
     agent order and actions in listed order; its choice is in member order.
     """
     _check_play_index(g, play_index)
-    _precheck(g, f, cap, extra=coalition)
-    evaluator = _Evaluator(g, cap)
+    _precheck(g, f, extra=coalition)
+    evaluator = _Evaluator(g)
     child = evaluator.mask(f)
     if not child >> play_index & 1:
         return None
@@ -309,12 +302,7 @@ def blame_witness(
 
 
 def blamable_coalitions(
-    g: Game,
-    play_index: int,
-    f: Formula,
-    max_size: int | None = None,
-    *,
-    cap: int = DEFAULT_STRATEGY_CAP,
+    g: Game, play_index: int, f: Formula, max_size: int | None = None
 ) -> BlameReport:
     """Every coalition of size <= max_size blamable at the play, with witnesses.
 
@@ -326,22 +314,19 @@ def blamable_coalitions(
     grand coalition is not, and a blamable coalition is minimal exactly
     when no coalition one member smaller is blamable.
 
-    ``cap`` bounds each coalition's strategy space and, before the search
-    enumerates, the number of coalitions it would try.
+    ``STRATEGY_CAP`` bounds each coalition's strategy space and, before the
+    search enumerates, the number of coalitions it would try.
     """
     if max_size is None:
         max_size = len(g.agents)
     if type(max_size) is not int or not 0 <= max_size <= len(g.agents):
         raise ValueError(f"max_size {max_size} out of range for {len(g.agents)} agents")
     _check_play_index(g, play_index)
-    _precheck(g, f, cap)
+    evaluator = _Evaluator(g)
+    child = evaluator.mask(f)  # guards f's B nodes as _precheck would
     for size in range(1, max_size + 1):
-        space = len(g.actions) ** size
-        if space > cap:
-            raise StrategySpaceError(Coalition(sorted(g.agents)[:size]), space, cap)
-
-    evaluator = _Evaluator(g, cap)
-    child = evaluator.mask(f)
+        if (space := len(g.actions) ** size) > STRATEGY_CAP:
+            raise StrategySpaceError(Coalition(sorted(g.agents)[:size]), space)
     if not (max_size and child >> play_index & 1):
         return BlameReport(play_index, f, max_size, ())
     agents = sorted((a, k) for k, a in enumerate(g.agents))
@@ -349,9 +334,9 @@ def blamable_coalitions(
     n, m, masks = len(g.agents), len(g.actions), evaluator.masks()
     if _first_preventer(masks, tuple(range(n)), child) is None:
         return BlameReport(play_index, f, max_size, ())
-    if (count := sum(comb(n, size) for size in range(1, max_size + 1))) > cap:
+    if (count := sum(comb(n, size) for size in range(1, max_size + 1))) > STRATEGY_CAP:
         raise CoalitionCountError(
-            f"{count} coalitions of up to {max_size} agents, over the cap {cap}"
+            f"{count} coalitions of up to {max_size} agents, over the cap {STRATEGY_CAP}"
         )
 
     # One walk: each coalition is its parent plus an agent later in game
@@ -388,6 +373,6 @@ def blamable_coalitions(
     return BlameReport(play_index, f, max_size, tuple(entries))
 
 
-def valid_in_game(g: Game, f: Formula, *, cap: int = DEFAULT_STRATEGY_CAP) -> int | None:
+def valid_in_game(g: Game, f: Formula) -> int | None:
     """None when the formula holds at every play, else the least failing index."""
-    return _Evaluator(g, cap).first(f, False)
+    return _Evaluator(g).first(f, False)

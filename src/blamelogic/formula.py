@@ -43,7 +43,7 @@ def is_ident(name: object) -> bool:
     return isinstance(name, str) and bool(_IDENT.match(name)) and name not in _RESERVED
 
 
-def check_ident(name: str, role: str = "identifier") -> str:
+def check_ident(name: str, role: str) -> str:
     if not isinstance(name, str) or not _IDENT.match(name):
         raise ValueError(f"invalid {role} {name!r}: must start with a lowercase letter")
     if name in _RESERVED:

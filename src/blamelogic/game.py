@@ -61,7 +61,7 @@ class Game(_Record):
         plays: tuple[Play, ...] = (),
         valuation: Mapping[str, frozenset[int]] = {},  # copied, never mutated
     ) -> None:
-        valuation = {name: frozenset(ix) for name, ix in dict(valuation).items()}
+        valuation = {name: _index_set(ix) for name, ix in dict(valuation).items()}
         self._fill(tuple(agents), tuple(actions), tuple(outcomes), tuple(plays), valuation)
         if violations := _violations(self):
             raise GameValidationError(violations)
@@ -96,6 +96,13 @@ def _ordered(items: Iterable) -> list:
         return sorted(items, key=lambda x: (type(x).__name__, repr(x)))
 
 
+def _index_set(indices: object) -> object:
+    try:
+        return frozenset(indices)
+    except TypeError:  # not a collection of hashable indices: _violations reports it
+        return indices
+
+
 def _violations(g: Game) -> list[str]:
     """All invariant violations, in a stable order; empty means ok."""
     out: list[str] = []
@@ -105,7 +112,8 @@ def _violations(g: Game) -> list[str]:
             out.append(f"invalid agent id {a!r}")
         elif a in seen_agents:
             out.append(f"duplicate agent {a!r}")
-        seen_agents.add(a)
+        else:
+            seen_agents.add(a)
     if not g.actions:
         out.append("empty action set")
     for group, label in ((g.actions, "action"), (g.outcomes, "outcome")):
@@ -115,32 +123,39 @@ def _violations(g: Game) -> list[str]:
                 out.append(f"invalid {label} {x!r}")
             elif x in seen:
                 out.append(f"duplicate {label} {x!r}")
-            seen.add(x)
+            else:
+                seen.add(x)
 
-    agent_set = set(g.agents)
-    action_set = set(g.actions)
-    outcome_set = set(g.outcomes)
+    # Only strings are looked up: a list among the fields is reported, not hashed.
+    agent_set, action_set, outcome_set = (
+        {x for x in group if isinstance(x, str)} for group in (g.agents, g.actions, g.outcomes)
+    )
     seen_plays: set[tuple] = set()
     for i, play in enumerate(g.plays):
         for a in g.agents:
-            if a not in play.profile:
+            if isinstance(a, str) and a not in play.profile:
                 out.append(f"play {i}: profile missing agent {a!r}")
         for a, x in play.profile.items():
             if a not in agent_set:
                 out.append(f"play {i}: unknown agent {a!r}")
-            elif x not in action_set:
+            elif not isinstance(x, str) or x not in action_set:
                 out.append(f"play {i}: action {x!r} not listed")
-        if play.outcome not in outcome_set:
+        if not isinstance(play.outcome, str) or play.outcome not in outcome_set:
             out.append(f"play {i}: outcome {play.outcome!r} not listed")
-        key = (frozenset(play.profile.items()), play.outcome)
-        if key in seen_plays:
-            out.append(f"duplicate play {i}")
-        seen_plays.add(key)
+        try:
+            if (key := (frozenset(play.profile.items()), play.outcome)) in seen_plays:
+                out.append(f"duplicate play {i}")
+            seen_plays.add(key)
+        except TypeError:  # an unhashable action or outcome, reported above
+            pass
 
     for name in _ordered(g.valuation):
         if not is_ident(name):
             out.append(f"invalid proposition name {name!r}")
-        for k in _ordered(g.valuation[name]):
+        if not isinstance(indices := g.valuation[name], frozenset):
+            out.append(f"valuation {name!r}: not a collection of play indices: {indices!r}")
+            continue
+        for k in _ordered(indices):
             # save writes a bool as true, which load refuses
             if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < len(g.plays):
                 out.append(f"valuation {name!r}: play index out of range: {k}")

@@ -141,7 +141,7 @@ def random_game(params: GenParams) -> Game:
 
 def random_formula(params: GenParams, game: Game) -> Formula:
     """One formula over the game's propositions and agents, depth-bounded."""
-    return _draw(params.seed, params.formula_depth, game)
+    return _draw(params.seed, params.formula_depth, game, _leaf_table(game))
 
 
 def _leaf_table(game: Game) -> tuple:
@@ -154,9 +154,9 @@ _NODES = (Prop, Not, Implies, And, Or, Iff, Necessity, possibly, Blame)
 _BINARY = frozenset({Implies, And, Or, Iff})
 
 
-def _draw(seed: int, depth: int, game: Game, leaves: tuple | None = None) -> Formula:
+def _draw(seed: int, depth: int, game: Game, leaves: tuple) -> Formula:
     """The formula that ``seed`` draws over the game; ``leaves`` is its ``_leaf_table``."""
-    props, top, bottom = leaves or _leaf_table(game)
+    props, top, bottom = leaves
     agents, next64 = game.agents, SplitMix64(seed).next64  # bound once: one call a draw
 
     def formula(depth: int) -> Formula:
@@ -200,7 +200,7 @@ def corpus_games(params: GenParams, count: int) -> list[Game]:
 
 
 def _sample_subst(
-    rng: SplitMix64, params: GenParams, game: Game, schema_name: str, leaves: tuple | None = None
+    rng: SplitMix64, params: GenParams, game: Game, schema_name: str, leaves: tuple
 ) -> dict:
     schema = SCHEMAS[schema_name]
     subst: dict = {}

@@ -138,12 +138,11 @@ SCHEMAS: dict[str, Schema] = {
 }
 
 
-def instantiate_schema(schema: Schema | str, subst: Mapping[str, object]) -> Formula:
-    """Fill the schema's template; substitutions must bind its metavariables exactly."""
-    if isinstance(schema, str):
-        if schema not in SCHEMAS:
-            raise InstantiationError(f"unknown schema {schema!r}")
-        schema = SCHEMAS[schema]
+def instantiate_schema(name: str, subst: Mapping[str, object]) -> Formula:
+    """Fill the named schema's template; substitutions must bind its metavariables exactly."""
+    if not isinstance(name, str) or name not in SCHEMAS:
+        raise InstantiationError(f"unknown schema {name!r}")
+    schema = SCHEMAS[name]
     bound = dict(subst)
     for var in schema.metavars:
         if var not in bound:

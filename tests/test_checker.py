@@ -21,17 +21,24 @@ from blamelogic import (
     satisfies,
     valid_in_game,
 )
-from blamelogic.checker import DEFAULT_STRATEGY_CAP, _Evaluator, _precheck
+from blamelogic.checker import STRATEGY_CAP, _Evaluator, _precheck
 from blamelogic.formula import blame_nodes
 from blamelogic.generate import (
     GenParams,
     SplitMix64,
     _draw,
+    _leaf_table,
     corpus_games,
     random_formula,
     random_game,
 )
 from conftest import violations
+
+
+@pytest.fixture
+def set_cap(monkeypatch):
+    """Lower the strategy cap for one test, so small games cross it."""
+    return lambda cap: monkeypatch.setattr("blamelogic.checker.STRATEGY_CAP", cap)
 
 
 def eval_text(game, text):
@@ -155,30 +162,33 @@ class TestErrors:
         entries = blamable_coalitions(Game(("a",), *fields), 0, parse("p")).entries
         assert [(e.coalition, e.witness.choice) for e in entries] == [(Coalition(["a"]), {"a": "y"})]
 
-    def test_cap_is_never_silent(self):
+    def test_cap_is_never_silent(self, set_cap):
         agents = tuple(f"g{i}" for i in range(5))
         plays = (Play({a: "x" for a in agents}, "w"),)
         g = Game(agents, ("x", "y", "z", "u"), ("w",), plays, {"p": frozenset({0})})
         f = Blame(agents, parse("p"))
+        set_cap(1000)
         with pytest.raises(StrategySpaceError) as exc:
-            satisfies(g, 0, f, cap=1000)
+            satisfies(g, 0, f)
         assert exc.value.size == 4 ** 5
         assert exc.value.cap == 1000
         # both routes fail identically, before any enumeration happens
         with pytest.raises(StrategySpaceError):
-            evaluate_all(g, f, cap=1000)
-        assert satisfies(g, 0, f, cap=DEFAULT_STRATEGY_CAP) is True
+            evaluate_all(g, f)
+        set_cap(STRATEGY_CAP)
+        assert satisfies(g, 0, f) is True
 
     @pytest.mark.parametrize(
         "text", ["B{ghost} p & B{a,b} p", "B{a,b} p & B{ghost} p", "B{a,b} B{ghost} p"]
     )
-    def test_unknown_agent_reported_before_cap(self, text):
+    def test_unknown_agent_reported_before_cap(self, text, set_cap):
         g = two_agent_game()
-        for route in (lambda f: satisfies(g, 0, f, cap=3), lambda f: evaluate_all(g, f, cap=3)):
+        set_cap(3)
+        for route in (lambda f: satisfies(g, 0, f), lambda f: evaluate_all(g, f)):
             with pytest.raises(ValueError, match="agents not in the game: \\['ghost'\\]"):
                 route(parse(text))
 
-    def test_witness_coalition_cap_reported_before_formula(self):
+    def test_witness_coalition_cap_reported_before_formula(self, set_cap):
         g = Game(
             ("a", "b", "c"),
             ("zero", "one"),
@@ -187,20 +197,22 @@ class TestErrors:
             {"p": frozenset({0})},
         )
         f = parse("p & B{b,c} p")
+        set_cap(3)
         with pytest.raises(StrategySpaceError) as exc:
-            blame_witness(g, 0, Coalition(["a", "b"]), f, cap=3)
+            blame_witness(g, 0, Coalition(["a", "b"]), f)
         assert exc.value.coalition == Coalition(["a", "b"])
         with pytest.raises(StrategySpaceError) as exc:
-            blame_witness(g, 0, Coalition(["a"]), f, cap=3)
+            blame_witness(g, 0, Coalition(["a"]), f)
         assert exc.value.coalition == Coalition(["b", "c"])
 
-    def test_cap_checked_even_on_false_branch(self, lopez):
+    def test_cap_checked_even_on_false_branch(self, lopez, set_cap):
         # the naive route could skip the oversized B node when dead is false
         # at the play; the contract says it must not
         g = two_agent_game()
         big = Blame(["a", "b"], parse("p"))
+        set_cap(3)
         with pytest.raises(StrategySpaceError):
-            satisfies(g, 0, big, cap=3)
+            satisfies(g, 0, big)
 
 
 class TestSemanticsCorners:
@@ -287,7 +299,7 @@ class TestStrayValuationBits:
             assert violations(g.agents, g.actions, g.outcomes, g.plays, valuation) == [
                 f"valuation {name!r}: play index out of range: {k}" for name, k in sorted(stray.items())
             ]
-            f = _draw(rng.next64(), k % 5, g)
+            f = _draw(rng.next64(), k % 5, g, _leaf_table(g))
             m = _Evaluator(g).mask(f)
             assert m >> n == 0, (f, n)
             assert [bool(m >> i & 1) for i in range(n)] == [satisfies(g, i, f) for i in range(n)]
@@ -422,7 +434,8 @@ def test_blame_search_one_action_many_agents():
 
 
 def walk_precheck(g, f, cap, extra=None):
-    """The pre-check as a whole-tree walk: unknown agents first, then the cap in walk order."""
+    """The pre-check as a whole-tree walk: unknown agents first, then the cap in walk order.
+    ``cap`` must be the cap in force, which the error reports."""
     coalitions, stack = [], [f]
     while stack:
         node = stack.pop()
@@ -436,7 +449,7 @@ def walk_precheck(g, f, cap, extra=None):
         raise ValueError(f"agents not in the game: {sorted(unknown)}")
     for c in coalitions:
         if len(c) and len(g.actions) ** len(c) > cap:
-            raise StrategySpaceError(c, len(g.actions) ** len(c), cap)
+            raise StrategySpaceError(c, len(g.actions) ** len(c))
 
 
 def widest(f):
@@ -454,7 +467,7 @@ def outcome(check, *args):
     return None
 
 
-def test_precheck_facts_raise_what_the_walk_raises():
+def test_precheck_facts_raise_what_the_walk_raises(set_cap):
     # Formulas drawn over four agents, checked against games that have
     # fewer: some name unknown agents, some go over a small cap, some both.
     rng = SplitMix64(20261019)
@@ -466,9 +479,10 @@ def test_precheck_facts_raise_what_the_walk_raises():
             for _ in range(40):
                 f = random_formula(GenParams(seed=rng.next64(), formula_depth=5), wide)
                 extra = Coalition(rng.subset(wide.agents)) if rng.below(3) == 0 else None
-                for cap in (4, DEFAULT_STRATEGY_CAP):
+                for cap in (4, STRATEGY_CAP):
+                    set_cap(cap)
                     expected = outcome(walk_precheck, g, f, cap, extra)
-                    assert outcome(_precheck, g, f, cap, extra) == expected
+                    assert outcome(_precheck, g, f, extra) == expected
                     seen.add(expected and expected[0])
                     both = expected and expected[0] == "agents" and widest(f) and (
                         len(g.actions) ** max(widest(f), len(extra or ())) > cap
@@ -477,7 +491,7 @@ def test_precheck_facts_raise_what_the_walk_raises():
     assert seen == {None, "agents", "cap", "both"}
 
 
-def test_the_fold_raises_what_the_walk_raises():
+def test_the_fold_raises_what_the_walk_raises(set_cap):
     # The corpus above, through the routes that guard B nodes inside the fold.
     rng = SplitMix64(20261019)
     wide = random_game(GenParams(seed=rng.next64(), n_agents=4, n_props=3))
@@ -489,10 +503,11 @@ def test_the_fold_raises_what_the_walk_raises():
                 f = random_formula(GenParams(seed=rng.next64(), formula_depth=5), wide)
                 if rng.below(3) == 0:  # the extra coalition, which these routes do not take
                     rng.subset(wide.agents)
-                for cap in (4, DEFAULT_STRATEGY_CAP):
+                for cap in (4, STRATEGY_CAP):
+                    set_cap(cap)
                     expected = outcome(walk_precheck, g, f, cap)
-                    assert outcome(lambda: evaluate_all(g, f, cap=cap)) == expected, f
-                    assert outcome(lambda: valid_in_game(g, f, cap=cap)) == expected, f
+                    assert outcome(lambda: evaluate_all(g, f)) == expected, f
+                    assert outcome(lambda: valid_in_game(g, f)) == expected, f
                     seen.add(expected and expected[0])
                     both = expected and expected[0] == "agents" and widest(f) and (
                         len(g.actions) ** widest(f) > cap
@@ -540,7 +555,7 @@ def test_the_action_masks_are_built_only_when_needed(monkeypatch):
     assert evaluate_all(g, parse("q & B{a} p")).truth == (False, False)
 
 
-def test_a_shared_subformula_is_walked_once():
+def test_a_shared_subformula_is_walked_once(set_cap):
     # 2**64 paths through 65 nodes: the guard and blame_nodes must not follow each path.
     g = Game(("a",), ("x", "y"), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
     f = parse("B{a} p")
@@ -551,11 +566,12 @@ def test_a_shared_subformula_is_walked_once():
     assert blame_witness(g, 0, Coalition(["a"]), f) == Strategy(["a"], {"a": "y"})
     with pytest.raises(ValueError, match=r"agents not in the game: \['ghost'\]"):
         evaluate_all(g, And(f, parse("B{ghost} p")))
+    set_cap(1)
     with pytest.raises(StrategySpaceError, match="over the cap 1"):
-        evaluate_all(g, f, cap=1)
+        evaluate_all(g, f)
 
 
-def test_one_evaluator_per_game_matches_satisfies():
+def test_one_evaluator_per_game_matches_satisfies(set_cap):
     # One evaluator answers a game's formulas one after another, as a sweep
     # does, raising ones among them.  Every vector must equal the oracle's
     # bit for bit, whatever came before it on this game or on an earlier one.
@@ -565,9 +581,9 @@ def test_one_evaluator_per_game_matches_satisfies():
     wide = random_game(GenParams(seed=1, n_agents=4, n_props=4))
     rng = SplitMix64(20261020)
 
-    def oracle(g, f, cap):
-        _precheck(g, f, cap)  # a game without plays still raises
-        return sum(satisfies(g, i, f, cap=cap) << i for i in range(len(g.plays)))
+    def oracle(g, f):
+        _precheck(g, f)  # a game without plays still raises
+        return sum(satisfies(g, i, f) << i for i in range(len(g.plays)))
 
     def answer(route, *args):
         """The route's vector, or outcome's account of what it raises."""
@@ -579,17 +595,18 @@ def test_one_evaluator_per_game_matches_satisfies():
     seen = set()
     for g in games:
         # Over the cap: a B node naming every agent, on a game with two or more.
-        cap = len(g.actions) ** max(1, len(g.agents) - 1)
+        set_cap(len(g.actions) ** max(1, len(g.agents) - 1))
         formulas = []
         for k in range(24):
-            f = _draw(rng.next64(), k % 5, wide if k % 4 == 3 else g)
+            source = wide if k % 4 == 3 else g
+            f = _draw(rng.next64(), k % 5, source, _leaf_table(source))
             formulas.append(f)
             if k % 8 == 5:
                 formulas += [Blame(["ghost"], f), Blame(g.agents, f)]
-        evaluator = _Evaluator(g, cap)
+        evaluator = _Evaluator(g)
         answers = [answer(evaluator.mask, f) for f in formulas]
         for f, got in zip(formulas, answers):
-            assert got == answer(oracle, g, f, cap), f
+            assert got == answer(oracle, g, f), f
             seen.add(got[0] if isinstance(got, tuple) else "mask")
         assert [answer(evaluator.mask, f) for f in formulas[::-1]] == answers[::-1]
     assert seen == {"mask", "agents", "cap"}
@@ -610,11 +627,13 @@ class TestCoalitionCountGuard:
             blamable_coalitions(g, 0, parse("p"), 10)
         assert time.perf_counter() - t0 < 1.0
 
-    def test_the_count_is_compared_with_cap(self):
+    def test_the_count_is_compared_with_cap(self, set_cap):
         g = self.game(4)  # 4 + 6 coalitions of at most 2 agents
-        assert len(blamable_coalitions(g, 0, parse("p"), 2, cap=10).entries) == 10
+        set_cap(10)
+        assert len(blamable_coalitions(g, 0, parse("p"), 2).entries) == 10
+        set_cap(9)
         with pytest.raises(CoalitionCountError, match="10 coalitions"):
-            blamable_coalitions(g, 0, parse("p"), 2, cap=9)
+            blamable_coalitions(g, 0, parse("p"), 2)
 
     def test_reports_that_are_empty_without_a_search_stay_empty(self):
         g = self.game(40)
@@ -632,14 +651,46 @@ class TestStrategySpaceGuard:
                 {"p": frozenset({0})})  # fmt: skip
 
     @pytest.mark.parametrize("play", [0, 1])  # p holds at play 0 only
-    def test_a_size_over_the_cap_raises_at_any_play(self, play):
+    def test_a_size_over_the_cap_raises_at_any_play(self, play, set_cap):
+        set_cap(4)
         with pytest.raises(StrategySpaceError) as caught:
-            blamable_coalitions(self.GAME, play, parse("p"), 3, cap=4)
+            blamable_coalitions(self.GAME, play, parse("p"), 3)
         assert str(caught.value) == (
             "strategy space for coalition {a,b,c} has 8 elements, over the cap 4"
         )
 
-    def test_sizes_under_the_cap_leave_the_count_guard(self):
+    def test_sizes_under_the_cap_leave_the_count_guard(self, set_cap):
+        set_cap(4)
         with pytest.raises(CoalitionCountError) as caught:
-            blamable_coalitions(self.GAME, 0, parse("p"), 2, cap=4)
+            blamable_coalitions(self.GAME, 0, parse("p"), 2)
         assert str(caught.value) == "6 coalitions of up to 2 agents, over the cap 4"
+
+
+@pytest.mark.parametrize("n_agents", [10, 11])
+def test_a_coalition_of_exactly_the_cap_is_accepted_on_every_route(n_agents):
+    # With 4 actions, 10 agents have 4**10 == STRATEGY_CAP strategies and 11 four times as many.
+    assert 4 ** 10 == STRATEGY_CAP
+    agents = tuple(f"g{k}" for k in range(n_agents))
+    plays = tuple(Play(dict.fromkeys(agents, x), "o") for x in ("x", "y"))
+    g = Game(agents, ("x", "y", "z", "u"), ("o",), plays, {"p": frozenset({0})})
+    everyone, p = Coalition(agents), parse("p")
+    f = Blame(everyone, p)
+    routes = {
+        "satisfies": lambda: satisfies(g, 1, f),  # p is false at play 1: nothing is enumerated
+        "evaluate_all": lambda: evaluate_all(g, f).truth,
+        "valid_in_game": lambda: valid_in_game(g, f),
+        "blame_witness": lambda: blame_witness(g, 0, everyone, p).choice,
+        "blamable_coalitions": lambda: len(blamable_coalitions(g, 0, p, n_agents).entries),
+    }
+    if n_agents == 10:
+        assert {name: route() for name, route in routes.items()} == {
+            "satisfies": False,
+            "evaluate_all": (True, False),
+            "valid_in_game": 1,
+            "blame_witness": {**dict.fromkeys(agents, "x"), "g9": "y"},
+            "blamable_coalitions": 2 ** 10 - 1,  # any strategy but all x prevents p
+        }
+        return
+    for route in routes.values():
+        with pytest.raises(StrategySpaceError, match=r"has 4194304 elements, over the cap 1048576$"):
+            route()

@@ -24,6 +24,7 @@ from blamelogic.generate import (
     GenParams,
     SplitMix64,
     _draw,
+    _leaf_table,
     _sample_subst,
     corpus_games,
     random_formula,
@@ -164,7 +165,7 @@ def test_truth_mask_is_exact_on_random_formulas():
     game = Game(("a", "b"), ("x",), ("w",), (), {name: frozenset() for name in ("p", "q", "r")})
     rng = SplitMix64(20261018)
     for k in range(2400):
-        f = _draw(rng.next64(), k % 6, game)
+        f = _draw(rng.next64(), k % 6, game, _leaf_table(game))
         rows = 1 + rng.below(64)
         full = (1 << rows) - 1
         vectors = {}
@@ -310,7 +311,8 @@ def test_facts_match_a_walk_on_the_acceptance_corpus():
         for _ in range(6):
             formulas.append(random_formula(GenParams(seed=rng.next64(), formula_depth=6), game))
         for name in sorted(SCHEMAS):
-            formulas.append(instantiate_schema(name, _sample_subst(rng, params, game, name)))
+            subst = _sample_subst(rng, params, game, name, _leaf_table(game))
+            formulas.append(instantiate_schema(name, subst))
     with_blame = 0
     for f in formulas:
         agents, widest = reference_facts(f)

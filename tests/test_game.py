@@ -172,6 +172,24 @@ class TestValidate:
             "valuation 'p': play index out of range: z",
         ]
 
+    @pytest.mark.parametrize(
+        "fields, expected",
+        [
+            ((("a",), ("x",), ("w",), (Play({"a": ["x"]}, "w"),)), ["play 0: action ['x'] not listed"]),
+            ((("a",), ("x", ["y"]), ("w",)), ["invalid action ['y']"]),
+            ((("a",), ("x",), ("w",), (Play({"a": "x"}, ["w"]),)), ["play 0: outcome ['w'] not listed"]),
+            ((("a",), ("x",), (["w"],)), ["invalid outcome ['w']"]),
+            ((("a",), ("x",), ("w",), (), {"p": 3}),
+             ["valuation 'p': not a collection of play indices: 3"]),
+            ((("a",), ("x",), ("w",), (), {"p": [[0]]}),
+             ["valuation 'p': not a collection of play indices: [[0]]"]),
+            (((["a"],), ("x",), ("w",), (Play({"a": "x"}, "w"),)),
+             ["invalid agent id ['a']", "play 0: unknown agent 'a'"]),
+        ],
+    )  # fmt: skip
+    def test_unhashable_or_uniterable_values_are_violations(self, fields, expected):
+        assert violations(*fields) == expected
+
 
 class TestStrategy:
     def test_domain_must_match_coalition(self):

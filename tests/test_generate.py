@@ -228,7 +228,7 @@ def test_schema_instance_stream_is_pinned():
     for g in corpus_games(params, 200):
         for name in sorted(SCHEMAS):
             for _ in range(5):
-                f = instantiate_schema(name, _sample_subst(rng, params, g, name))
+                f = instantiate_schema(name, _sample_subst(rng, params, g, name, _leaf_table(g)))
                 digest.update((format_formula(f) + "\n").encode())
     assert digest.hexdigest() == (
         "8a5dd1bf3acf5c7cb2913bcce9e39070bffb5f8ae853dd758afc897f758dd8a9"
@@ -253,7 +253,7 @@ def reference_draw(rng, depth, props, agents):
     return kind(left, reference_draw(rng, depth - 1, props, agents))
 
 
-def test_draws_with_and_without_the_leaf_table_agree():
+def test_draws_with_a_shared_or_a_fresh_leaf_table_agree():
     params = GenParams(seed=20260822, n_agents=4, n_actions=4, n_outcomes=4,
                        n_plays=16, n_props=4, formula_depth=4)  # fmt: skip
     games = corpus_games(params, 25)
@@ -262,7 +262,8 @@ def test_draws_with_and_without_the_leaf_table_agree():
     for k in range(2000):
         game, leaves, seed = games[k % 25], tables[k % 25], rng.next64()
         for depth in range(7):
-            shared, fresh = _draw(seed, depth, game, leaves), _draw(seed, depth, game)
+            shared = _draw(seed, depth, game, leaves)
+            fresh = _draw(seed, depth, game, _leaf_table(game))
             assert shared == fresh and format_formula(shared) == format_formula(fresh)
             props = sorted(game.valuation) or ["p"]
             assert shared == reference_draw(SplitMix64(seed), depth, props, game.agents)
@@ -296,7 +297,7 @@ def test_the_hook_and_the_per_game_evaluator_give_one_report():
     for game in corpus_games(params, 30):
         routes = _first_play(game, None), _first_play(game, evaluate_all)
         for k in range(12):
-            f = _draw(rng.next64(), k % 5, game)
+            f = _draw(rng.next64(), k % 5, game, _leaf_table(game))
             for value in (False, True):
                 assert routes[0](f, value) == routes[1](f, value), (f, value)
 

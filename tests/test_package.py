@@ -18,11 +18,12 @@ MODULES = (formula, parser, game, checker, proofs, generate)
 # `validate`, which every Game now runs when it is built.
 PUBLIC = {
     "And", "AtomLimitError", "BUNDLED_NAMES", "Blame", "BlameEntry", "BlameReport",
-    "Bottom", "Coalition", "CoalitionCountError", "DEFAULT_STRATEGY_CAP", "EvalTable",
-    "Formula", "Game", "GameFormatError", "GameValidationError", "GenParams", "Iff",
+    "Bottom", "Coalition", "CoalitionCountError", "EvalTable", "Formula", "Game",
+    "GameFormatError", "GameValidationError", "GenParams", "Iff",
     "Implies", "InstantiationError", "Justification", "Necessity", "Not", "Or",
     "ParseError", "Play", "Proof", "ProofFailure", "ProofFormatError", "ProofLine",
-    "Prop", "SCHEMAS", "Schema", "SplitMix64", "Strategy", "StrategySpaceError", "Top",
+    "Prop", "SCHEMAS", "STRATEGY_CAP", "Schema", "SplitMix64", "Strategy",
+    "StrategySpaceError", "Top",
     "blamable_coalitions", "blame_witness", "bundled_script", "check_proof",
     "checker", "corpus_games", "dump_proof",
     "evaluate_all", "format_formula", "formula", "game", "generate",

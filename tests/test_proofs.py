@@ -84,6 +84,10 @@ class TestSchemas:
     def test_unknown_schema(self):
         with pytest.raises(InstantiationError, match="unknown schema"):
             instantiate_schema("Truth", {"phi": p})
+        # A schema is named, never passed itself; a name that does not hash is unknown too.
+        for name in (SCHEMAS["TruthN"], ["TruthN"]):
+            with pytest.raises(InstantiationError, match="unknown schema"):
+                instantiate_schema(name, {"phi": p})
 
     def test_missing_and_extra_metavariables(self):
         with pytest.raises(InstantiationError, match="unbound metavariable 'C'"):

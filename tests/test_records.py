@@ -196,17 +196,20 @@ def _exception_classes():
 LOPEZ_DOC = (
     '{"agents": ["lopez"], "actions": ["hide"], "outcomes": ["o"], "plays": [], "valuation": {}}'
 )
-THREE = Game(["a", "b", "c"], ["x", "y"], ["o"], [Play(dict.fromkeys("abc", "x"), "o")], {"p": [0]})
+# 40 agents with two actions cross the strategy cap at 21 members and the
+# coalition count by size 10.
+FORTY = tuple(f"g{k}" for k in range(40))
+WIDE = Game(FORTY, ["x", "y"], ["o"], [Play(dict.fromkeys(FORTY, "x"), "o")], {"p": [0]})
 # One call per exception class the package defines, raising it as users meet it.
 RAISE = {
     "AtomLimitError": lambda: is_tautology(parse(" & ".join(f"p{i}" for i in range(21)))),
-    "CoalitionCountError": lambda: blamable_coalitions(THREE, 0, parse("p"), 2, cap=4),
+    "CoalitionCountError": lambda: blamable_coalitions(WIDE, 0, parse("p"), 10),
     "GameFormatError": lambda: load("[]"),
     "GameValidationError": lambda: load(LOPEZ_DOC.replace('"hide"', '"hide", "hide", ""')),
     "InstantiationError": lambda: instantiate_schema("TruthN", {}),
     "ParseError": lambda: parse("p &"),
     "ProofFormatError": lambda: load_proof('{"claim": 1}'),
-    "StrategySpaceError": lambda: blamable_coalitions(THREE, 0, parse("p"), cap=1),
+    "StrategySpaceError": lambda: blamable_coalitions(WIDE, 0, parse("p")),
     "_NestingError": lambda: parse("(" * 200 + "p"),
 }
 
