@@ -172,15 +172,20 @@ def evaluate_all(g: Game, f: Formula) -> EvalTable:
 
 
 class _Evaluator:
-    """Truth vectors on one game, formula after formula, each with a fresh memo.
+    """Truth vectors on one game, formula after formula, through one memo.
 
     It keeps what depends on the game alone, once needed: proposition vectors,
-    coalition positions and the action masks.  Build one per call, or per game of a
-    sweep: a Game is valid once built, and a changed valuation or profile needs a new one."""
+    coalition positions and the action masks.  Its id-keyed memo of node vectors
+    lasts as long as it does, so a node shared between formulas folds once; it
+    keeps every formula ``mask`` is given, those that raise too, so no memoised
+    id is reused.  Build one per call, or per game of a sweep: a Game is valid
+    once built, and a changed valuation or profile needs a new one."""
 
     def __init__(self, g: Game) -> None:
         self.game, self.full = g, (1 << len(g.plays)) - 1
         self.props, self.orders, self._masks = {}, {}, None
+        self.memo: dict[int, int] = {}
+        self.kept: list[Formula] = []
 
     def masks(self) -> list[list[int]]:
         if self._masks is None:
@@ -194,7 +199,8 @@ class _Evaluator:
 
     def mask(self, f: Formula) -> int:
         g, cap, full, props, orders = self.game, STRATEGY_CAP, self.full, self.props, self.orders
-        memo: dict[int, int] = {}
+        memo = self.memo
+        self.kept.append(f)  # before the fold, which may memoise part of f and then raise
 
         def atom(node: Formula) -> int:
             if isinstance(node, Prop):

@@ -258,9 +258,10 @@ def truth_mask(
     within ``full`` too.
     Children are folded left to right, and each node object at most once
     per memo.  ``memo`` maps ``id(node)`` to its vector, so the caller must
-    keep every node of ``f`` alive while the memo is in use.  Identity
-    keys cost nothing, where a structural key would pay the recursive
-    hash at every node.
+    keep every node folded into it alive while the memo is in use, over
+    as many formulas as it serves: a new node could take a freed node's
+    id and read its vector.  Identity keys cost nothing, where a
+    structural key would pay the recursive hash at every node.
     """
     m = memo.get(id(f))
     if m is not None:

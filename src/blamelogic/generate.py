@@ -2,15 +2,18 @@
 
 The random source is SplitMix64 (Steele, Lea and Flood 2014), fixed by
 name on purpose: identical seeds must reproduce identical corpora and
-reports on any platform, so no stdlib generator is involved.  Per-game
+reports on any platform, so no stdlib generator is involved.  It mixes
+16 counter states at a time, each in its own 128-bit lane of one Python
+int, so each multiply and xor-shift runs once per 16 outputs.  Per-game
 sub-seeds are drawn from the master stream by game index, which keeps
 reports independent of evaluation order.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Callable, Sequence
-from itertools import product
+from itertools import chain, count, product
 
 from . import checker
 from .formula import (
@@ -51,35 +54,56 @@ _ACTION_ROSTER = ("act0", "act1", "act2", "act3")
 _OUTCOME_ROSTER = ("out0", "out1", "out2", "out3")
 
 
+# A block is 16 counter states, one per 128-bit lane of an int: lane k holds
+# base + (k + 1) * _GAMMA.  Every lane is below 2**64 before each product with a
+# 64-bit constant, so no carry crosses a lane.
+_LANES = 16
+_ONES = sum(1 << 128 * k for k in range(_LANES))
+_LOW = _MASK64 * _ONES  # the low 64 bits of every lane
+_STEPS = sum((k + 1) * _GAMMA << 128 * k for k in range(_LANES))
+_UNPACK = struct.Struct("<" + "Q8x" * _LANES).unpack  # the low half of each lane
+
+
+def _block(base: int) -> tuple[int, ...]:
+    """The 16 outputs after counter state ``base``; exact for the first 2**59 blocks.
+
+    A shift pulls the next lane's low bits into a lane's high half, so each is
+    masked off but the last: only the low halves are read."""
+    z = (base * _ONES + _STEPS) & _LOW
+    z = (z ^ (z >> 30) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
+    z = (z ^ (z >> 27) & _LOW) * 0x94D049BB133111EB & _LOW
+    return _UNPACK((z ^ z >> 31).to_bytes(16 * _LANES, "little"))
+
+
 class SplitMix64:
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        blocks = map(_block, count(seed & _MASK64, _LANES * _GAMMA))
+        self.next64: Callable[[], int] = chain.from_iterable(blocks).__next__
 
     def below(self, n: int) -> int:
+        if n < 1:
+            raise ValueError(f"below({n}): the bound must be at least 1")
         # Modulo bias is negligible at these ranges and keeps the
         # stream portable.
         return self.next64() % n
 
     def choice(self, seq: Sequence):
+        if not seq:
+            raise ValueError("choice from an empty sequence")
         return seq[self.next64() % len(seq)]
 
     def sample(self, seq: Sequence, k: int) -> list:
         """k distinct elements, by partial Fisher-Yates."""
         pool = list(seq)
+        if not 0 <= k <= len(pool):
+            raise ValueError(f"sample of {k} from {len(pool)} elements")
         for i in range(k):
             j = i + self.below(len(pool) - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 
     def subset(self, seq: Sequence) -> list:
-        return [x for x in seq if self.below(2)]
+        return [x for x in seq if self.next64() & 1]  # the bit below(2) reads
 
 
 class GenParams(_Record):
@@ -133,7 +157,7 @@ def random_game(params: GenParams) -> Game:
         profile = dict(zip(agents, profiles[code // len(outcomes)]))
         plays.append(Play(profile, outcomes[code % len(outcomes)]))
     valuation = {
-        name: frozenset(i for i in range(count) if rng.below(2))
+        name: frozenset(i for i in range(count) if rng.next64() & 1)
         for name in PROP_ROSTER[: params.n_props]
     }
     return Game(agents, actions, outcomes, tuple(plays), valuation)
@@ -213,12 +237,14 @@ def _sample_subst(
     if "psi" in schema.metavars:
         subst["psi"] = draw()
     if "C" in schema.metavars:
+        # A game's ids are valid and distinct, so the members need only sorting.
         c = rng.subset(game.agents)
-        subst["C"] = Coalition(c)
+        subst["C"] = Coalition._canonical(tuple(sorted(c)))
         if "D" in schema.metavars:
             # D adds agents outside C to C for "subset", or is them alone.
             extra = rng.subset([a for a in game.agents if a not in c])
-            subst["D"] = Coalition(c + extra if schema.side_condition == "subset(C,D)" else extra)
+            d = c + extra if schema.side_condition == "subset(C,D)" else extra
+            subst["D"] = Coalition._canonical(tuple(sorted(d)))
     return subst
 
 

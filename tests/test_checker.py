@@ -14,6 +14,7 @@ from blamelogic import (
     Play,
     StrategySpaceError,
     Strategy,
+    Top,
     blamable_coalitions,
     blame_witness,
     evaluate_all,
@@ -571,6 +572,20 @@ def test_a_shared_subformula_is_walked_once(set_cap):
         evaluate_all(g, f)
 
 
+def oracle(g, f):
+    """The truth vector by satisfies, play by play."""
+    _precheck(g, f)  # a game without plays still raises
+    return sum(satisfies(g, i, f) << i for i in range(len(g.plays)))
+
+
+def answer(route, *args):
+    """The route's vector, or outcome's account of what it raises."""
+    try:
+        return route(*args)
+    except ValueError:
+        return outcome(route, *args)
+
+
 def test_one_evaluator_per_game_matches_satisfies(set_cap):
     # One evaluator answers a game's formulas one after another, as a sweep
     # does, raising ones among them.  Every vector must equal the oracle's
@@ -580,18 +595,6 @@ def test_one_evaluator_per_game_matches_satisfies(set_cap):
     games = corpus_games(params, 40)
     wide = random_game(GenParams(seed=1, n_agents=4, n_props=4))
     rng = SplitMix64(20261020)
-
-    def oracle(g, f):
-        _precheck(g, f)  # a game without plays still raises
-        return sum(satisfies(g, i, f) << i for i in range(len(g.plays)))
-
-    def answer(route, *args):
-        """The route's vector, or outcome's account of what it raises."""
-        try:
-            return route(*args)
-        except ValueError:
-            return outcome(route, *args)
-
     seen = set()
     for g in games:
         # Over the cap: a B node naming every agent, on a game with two or more.
@@ -609,6 +612,30 @@ def test_one_evaluator_per_game_matches_satisfies(set_cap):
             assert got == answer(oracle, g, f), f
             seen.add(got[0] if isinstance(got, tuple) else "mask")
         assert [answer(evaluator.mask, f) for f in formulas[::-1]] == answers[::-1]
+    assert seen == {"mask", "agents", "cap"}
+
+
+def test_the_evaluator_memo_outlives_the_formulas_it_is_given(set_cap):
+    # The memo is keyed by node ids and lasts as long as the evaluator.  Each
+    # formula here is referenced only by the call argument, so the evaluator
+    # must hold it: a freed node's id goes to a new node, which would then read
+    # the old vector.  Every tenth formula raises after its left side is folded.
+    g = random_game(GenParams(seed=20261019, n_agents=3, n_actions=3, n_plays=10, n_props=3))
+    set_cap(len(g.actions) ** (len(g.agents) - 1))  # a B node naming every agent goes over
+    leaves, evaluator, rng = _leaf_table(g), _Evaluator(g), SplitMix64(20261019)
+
+    def formula(seed, k):
+        f = _draw(seed, k % 5, g, leaves)
+        if k % 10 == 3:
+            return And(f, Blame(["ghost"], Top()))
+        return And(f, Blame(g.agents, Top())) if k % 10 == 7 else f
+
+    seen = set()
+    for k in range(2000):
+        seed = rng.next64()
+        got = answer(evaluator.mask, formula(seed, k))
+        assert got == answer(oracle, g, formula(seed, k)), (k, seed)
+        seen.add(got[0] if isinstance(got, tuple) else "mask")
     assert seen == {"mask", "agents", "cap"}
 
 

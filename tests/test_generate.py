@@ -33,6 +33,20 @@ from blamelogic.parser import format_formula
 from blamelogic.proofs import SCHEMAS, instantiate_schema
 
 
+_MASK64, _GAMMA = (1 << 64) - 1, 0x9E3779B97F4A7C15
+
+
+def scalar_stream(seed):
+    """SplitMix64 one output at a time: the reference for the lane-packed generator."""
+    state = seed & _MASK64
+    while True:
+        state = (state + _GAMMA) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
 class TestSplitMix64:
     def test_reference_stream_from_zero(self):
         # published test vectors for this generator
@@ -66,6 +80,37 @@ class TestSplitMix64:
 
     def test_subset_of_empty(self):
         assert SplitMix64(1).subset([]) == []
+
+    def test_lanes_match_the_scalar_stream(self):
+        # 200 outputs cross twelve block boundaries; the seeds include the
+        # counter's wrap-around at 2**64 inside the first block.
+        draws = SplitMix64(20261019)
+        seeds = [0, 1, 1 << 63, _MASK64, (1 << 64) - _GAMMA]
+        seeds += [draws.next64() for _ in range(50)]
+        for seed in seeds:
+            rng, oracle = SplitMix64(seed), scalar_stream(seed)
+            assert [rng.next64() for _ in range(200)] == [next(oracle) for _ in range(200)], seed
+
+    def test_subset_reads_the_bit_below_2_reads(self):
+        for seed in range(20):
+            bits = SplitMix64(seed)
+            assert SplitMix64(seed).subset(range(40)) == [x for x in range(40) if bits.below(2)]
+
+    @pytest.mark.parametrize(
+        "draw,msg",
+        [
+            (lambda rng: rng.below(-3), r"^below\(-3\): the bound must be at least 1$"),
+            (lambda rng: rng.below(0), r"^below\(0\): the bound must be at least 1$"),
+            (lambda rng: rng.choice([]), r"^choice from an empty sequence$"),
+            (lambda rng: rng.sample([1, 2], 3), r"^sample of 3 from 2 elements$"),
+            (lambda rng: rng.sample([1, 2], -1), r"^sample of -1 from 2 elements$"),
+        ],
+    )
+    def test_empty_ranges_raise_and_draw_nothing(self, draw, msg):
+        rng, oracle = SplitMix64(7), scalar_stream(7)
+        with pytest.raises(ValueError, match=msg):
+            draw(rng)
+        assert rng.next64() == next(oracle)
 
 
 class TestGenParams:
