@@ -8,10 +8,10 @@ for a B node it groups the child's plays by the strategy they follow and
 looks for a strategy with none.  The two routes must agree bit for bit,
 so ``satisfies`` stays deliberately naive as an oracle.
 
-Both routes check every B node in the formula for agents the game lacks
-and then against the fixed ``STRATEGY_CAP``, so they raise identical
-errors as well.  ``_precheck``'s walk states those errors once; the fold
-checks each B node as it reaches it and walks only when one fails.
+Both routes check every B node (``blame_witness`` folds ``B_C f``) for agents
+the game lacks and then against the fixed ``STRATEGY_CAP``, so they raise
+identical errors as well.  ``_precheck``'s walk states those errors once; the
+fold checks each B node as it reaches it and walks only when one fails.
 """
 
 from __future__ import annotations
@@ -104,13 +104,11 @@ class BlameReport(_Record):
         }
 
 
-def _precheck(g: Game, f: Formula, extra: Coalition | None = None) -> None:
+def _precheck(g: Game, f: Formula) -> None:
     # Check every B node, so both evaluation routes fail alike regardless
     # of short-circuiting: an unknown agent anywhere before any strategy
-    # space over the cap, in walk order.
+    # space over the cap, in walk order, each B node before those below it.
     coalitions = [node.coalition for node in blame_nodes(f)]
-    if extra is not None:
-        coalitions.insert(0, extra)
     unknown = {a for c in coalitions for a in c} - set(g.agents)
     if unknown:
         raise ValueError(f"agents not in the game: {sorted(unknown)}")
@@ -174,16 +172,17 @@ def evaluate_all(g: Game, f: Formula) -> EvalTable:
 class _Evaluator:
     """Truth vectors on one game, formula after formula, through one memo.
 
-    It keeps what depends on the game alone, once needed: proposition vectors,
-    coalition positions and the action masks.  Its id-keyed memo of node vectors
-    lasts as long as it does, so a node shared between formulas folds once; it
-    keeps every formula ``mask`` is given, those that raise too, so no memoised
-    id is reused.  Build one per call, or per game of a sweep: a Game is valid
-    once built, and a changed valuation or profile needs a new one."""
+    It keeps what depends on the game alone, once needed: coalition positions
+    and the action masks.  Its id-keyed memo of node vectors, the only cache of
+    them, lasts as long as it does, so a node shared between formulas folds once;
+    it keeps every formula ``mask`` is given, those that raise too, so no memoised
+    id is reused.  A memoised B node is not checked again, so ``STRATEGY_CAP``
+    must not change during its life.  Build one per call, or per game of a sweep:
+    a Game is valid once built, and a changed valuation or profile needs a new one."""
 
     def __init__(self, g: Game) -> None:
         self.game, self.full = g, (1 << len(g.plays)) - 1
-        self.props, self.orders, self._masks = {}, {}, None
+        self.orders, self._masks = {}, None
         self.memo: dict[int, int] = {}
         self.kept: list[Formula] = []
 
@@ -198,15 +197,12 @@ class _Evaluator:
         return (plays & -plays).bit_length() - 1 if plays else None
 
     def mask(self, f: Formula) -> int:
-        g, cap, full, props, orders = self.game, STRATEGY_CAP, self.full, self.props, self.orders
-        memo = self.memo
+        g, cap, full, orders, memo = self.game, STRATEGY_CAP, self.full, self.orders, self.memo
         self.kept.append(f)  # before the fold, which may memoise part of f and then raise
 
         def atom(node: Formula) -> int:
             if isinstance(node, Prop):
-                if (m := props.get(node.name)) is None:
-                    m = props[node.name] = sum(1 << i for i in g.valuation.get(node.name, ()))
-                return m
+                return sum(1 << i for i in g.valuation.get(node.name, ()))
             if isinstance(node, Necessity):
                 return full if truth_mask(node.child, full, atom, memo) == full else 0
             c = node.coalition
@@ -290,21 +286,18 @@ def _choice(g: Game, bits: int, code: int) -> dict[str, str]:
 
 
 def blame_witness(g: Game, play_index: int, coalition: Coalition, f: Formula) -> Strategy | None:
-    """A preventing strategy for the coalition, when it is blamable here.
+    """A preventing strategy for the coalition, when ``Blame(coalition, f)`` holds here.
 
     The strategy is the lexicographically first one, with members in game
     agent order and actions in listed order; its choice is in member order.
     """
     _check_play_index(g, play_index)
-    _precheck(g, f, extra=coalition)
-    evaluator = _Evaluator(g)
-    child = evaluator.mask(f)
-    if not child >> play_index & 1:
+    evaluator, node = _Evaluator(g), Blame(coalition, f)
+    if not evaluator.mask(node) >> play_index & 1:
         return None
-    order = _positions(g, coalition)
-    code = _first_preventer(evaluator.masks(), order, child)
-    bits = sum(1 << k for k in order)
-    return None if code is None else Strategy(coalition, _choice(g, bits, code))
+    order = evaluator.orders[node.coalition.members]
+    code = _first_preventer(evaluator.masks(), order, evaluator.mask(f))
+    return Strategy(node.coalition, _choice(g, sum(1 << k for k in order), code))
 
 
 def blamable_coalitions(

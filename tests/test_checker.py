@@ -206,6 +206,21 @@ class TestErrors:
             blame_witness(g, 0, Coalition(["a"]), f)
         assert exc.value.coalition == Coalition(["b", "c"])
 
+    def test_witness_coalition_is_checked_as_a_coalition(self, set_cap):
+        # blame_witness folds B_C f, so a listed coalition is built as a Coalition:
+        # an invalid id is refused as one, and the cap error names the Coalition.
+        g = two_agent_game()
+        with pytest.raises(ValueError) as exc:
+            blame_witness(g, 0, ["Ghost"], parse("p"))
+        assert str(exc.value) == "invalid agent id 'Ghost': must start with a lowercase letter"
+        with pytest.raises(ValueError, match=r"^agents not in the game: \['ghost'\]$"):
+            blame_witness(g, 0, ["ghost", "a"], parse("p"))
+        set_cap(3)
+        with pytest.raises(StrategySpaceError) as exc:
+            blame_witness(g, 0, ["b", "a"], parse("p"))
+        assert exc.value.coalition == Coalition(["a", "b"])
+        assert str(exc.value) == "strategy space for coalition {a,b} has 4 elements, over the cap 3"
+
     def test_cap_checked_even_on_false_branch(self, lopez, set_cap):
         # the naive route could skip the oversized B node when dead is false
         # at the play; the contract says it must not
@@ -483,7 +498,10 @@ def test_precheck_facts_raise_what_the_walk_raises(set_cap):
                 for cap in (4, STRATEGY_CAP):
                     set_cap(cap)
                     expected = outcome(walk_precheck, g, f, cap, extra)
-                    assert outcome(_precheck, g, f, extra) == expected
+                    root = f if extra is None else Blame(extra, f)
+                    assert outcome(_precheck, g, root) == expected
+                    if extra is not None:  # blame_witness folds Blame(extra, f)
+                        assert outcome(lambda: blame_witness(g, 0, extra, f)) == expected
                     seen.add(expected and expected[0])
                     both = expected and expected[0] == "agents" and widest(f) and (
                         len(g.actions) ** max(widest(f), len(extra or ())) > cap

@@ -18,6 +18,13 @@ from blamelogic import (
     Top,
     possibly,
 )
+from blamelogic.checker import (
+    blamable_coalitions,
+    blame_witness,
+    evaluate_all,
+    satisfies,
+    valid_in_game,
+)
 from blamelogic.formula import Bottom, blame_nodes, check_ident, is_ident, truth_mask
 from blamelogic.game import Game, Play
 from blamelogic.generate import (
@@ -29,7 +36,16 @@ from blamelogic.generate import (
     corpus_games,
     random_formula,
 )
-from blamelogic.proofs import BUNDLED_NAMES, SCHEMAS, bundled_script, instantiate_schema
+from blamelogic.parser import format_formula
+from blamelogic.proofs import (
+    BUNDLED_NAMES,
+    SCHEMAS,
+    bundled_script,
+    instantiate_schema,
+    is_tautology,
+)
+
+ONE_PLAY = Game(("a",), ("x",), ("o",), (Play({"a": "x"}, "o"),))
 
 IDENT = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True).filter(
     lambda s: s not in ("true", "false")
@@ -264,6 +280,33 @@ class TestNodeContract:
     def test_non_formula_child_is_a_type_error(self, build):
         with pytest.raises(TypeError, match="not a formula: "):
             build()
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda f: satisfies(ONE_PLAY, 0, f),
+            lambda f: evaluate_all(ONE_PLAY, f),
+            lambda f: valid_in_game(ONE_PLAY, f),
+            lambda f: blame_witness(ONE_PLAY, 0, Coalition(["a"]), f),
+            lambda f: blamable_coalitions(ONE_PLAY, 0, f),
+            format_formula,
+            is_tautology,
+        ],
+        ids=[
+            "satisfies",
+            "evaluate_all",
+            "valid_in_game",
+            "blame_witness",
+            "blamable_coalitions",
+            "format_formula",
+            "is_tautology",
+        ],
+    )
+    @pytest.mark.parametrize("root", ["p", None, 3])
+    def test_non_formula_root_is_a_type_error(self, route, root):
+        with pytest.raises(TypeError) as caught:
+            route(root)
+        assert str(caught.value) == f"not a formula: {root!r}"
 
     @pytest.mark.parametrize(
         "build",

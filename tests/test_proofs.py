@@ -269,6 +269,10 @@ class TestKernel:
     def test_unknown_schema_name(self):
         line = ProofLine(p, Justification("axiom", (), "Truth", {"phi": p}))
         assert check_proof(Proof((), p, (line,))) == ProofFailure(1, "unknown schema 'Truth'")
+        # A hand-built line may name its schema with any value, even an unhashable one.
+        for name in (["x"], None, 3):
+            line = ProofLine(p, Justification("axiom", (), name, None))
+            assert check_proof(Proof((), p, (line,))) == ProofFailure(1, f"unknown schema {name!r}")
 
     def test_final_line_must_match_claim(self):
         lines = (ProofLine(parse("p | !p"), Justification("taut")),)
@@ -427,6 +431,12 @@ class TestScriptFormat:
     def test_parse_errors_are_wrapped(self):
         with pytest.raises(ProofFormatError, match="claim"):
             load_proof(json.dumps({"hypotheses": [], "claim": "p ->", "lines": []}))
+
+    def test_dump_writes_a_coalition_or_an_iterable_as_its_members(self):
+        for c in (Coalition(["b", "a"]), ("a", "b"), ["a", "b"]):
+            line = ProofLine(p, Justification("axiom", (), "Fairness", {"phi": p, "C": c}))
+            doc = json.loads(dump_proof(Proof((), p, (line,))))
+            assert doc["lines"][0]["just"]["subst"] == {"phi": "p", "C": ["a", "b"]}
 
     def test_dump_is_deterministic(self):
         blob = dump_proof(bundled_script("lemma1"))
