@@ -8,14 +8,16 @@ for a B node it groups the child's plays by the strategy they follow and
 looks for a strategy with none.  The two routes must agree bit for bit,
 so ``satisfies`` stays deliberately naive as an oracle.
 
-Both routes check every B node (``blame_witness`` folds ``B_C f``) for agents
-the game lacks and then against the fixed ``STRATEGY_CAP``, so they raise
-identical errors as well.  ``_precheck``'s walk states those errors once; the
-fold checks each B node as it reaches it and walks only when one fails.
+Every route checks B nodes by one test, the fold's (``satisfies`` runs the
+fold first, and ``blame_witness`` folds ``B_C f``), so all raise identical
+errors: at the first B node that names an agent the game lacks or whose
+strategy space exceeds the fixed ``STRATEGY_CAP``, every agent the game lacks
+anywhere in the formula, else that node's strategy space.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 
@@ -104,19 +106,6 @@ class BlameReport(_Record):
         }
 
 
-def _precheck(g: Game, f: Formula) -> None:
-    # Check every B node, so both evaluation routes fail alike regardless
-    # of short-circuiting: an unknown agent anywhere before any strategy
-    # space over the cap, in walk order, each B node before those below it.
-    coalitions = [node.coalition for node in blame_nodes(f)]
-    unknown = {a for c in coalitions for a in c} - set(g.agents)
-    if unknown:
-        raise ValueError(f"agents not in the game: {sorted(unknown)}")
-    for c in coalitions:
-        if len(c) and (space := len(g.actions) ** len(c)) > STRATEGY_CAP:
-            raise StrategySpaceError(c, space)
-
-
 def _check_play_index(g: Game, play_index: int) -> None:
     if type(play_index) is not int or not 0 <= play_index < len(g.plays):
         raise IndexError(f"play index {play_index} out of range for {len(g.plays)} plays")
@@ -125,7 +114,7 @@ def _check_play_index(g: Game, play_index: int) -> None:
 def satisfies(g: Game, play_index: int, f: Formula) -> bool:
     """Truth at one play, by direct recursion over the definition."""
     _check_play_index(g, play_index)
-    _precheck(g, f)
+    _Evaluator(g).mask(f)  # the fold's guard raises what every route raises
     return _sat(g, play_index, f)
 
 
@@ -182,14 +171,13 @@ class _Evaluator:
 
     def __init__(self, g: Game) -> None:
         self.game, self.full = g, (1 << len(g.plays)) - 1
-        self.orders, self._masks = {}, None
+        self.orders: dict[tuple[str, ...], tuple[int, ...]] = {}
         self.memo: dict[int, int] = {}
         self.kept: list[Formula] = []
 
+    @cached_property
     def masks(self) -> list[list[int]]:
-        if self._masks is None:
-            self._masks = _action_masks(self.game)
-        return self._masks
+        return _action_masks(self.game)
 
     def first(self, f: Formula, value: bool) -> int | None:
         """The least play where f has this truth value, or None."""
@@ -207,11 +195,13 @@ class _Evaluator:
                 return full if truth_mask(node.child, full, atom, memo) == full else 0
             c = node.coalition
             if (order := orders.get(c.members)) is None:
-                order = orders[c.members] = _positions(g, c)
-            # A B node over the cap or naming an unknown agent sends f to the walk for its error.
+                order = orders[c.members] = tuple(k for k, a in enumerate(g.agents) if a in c)
+            # The guard: fewer positions than members means an agent the game lacks.
             space = len(g.actions) ** len(order)
             if space > cap or len(order) < len(c):
-                _precheck(g, f)
+                if unknown := {a for b in blame_nodes(f) for a in b.coalition} - set(g.agents):
+                    raise ValueError(f"agents not in the game: {sorted(unknown)}")
+                raise StrategySpaceError(c, space)
             # The prevention condition does not depend on the play, so the
             # B node's vector is the child's vector or all-false.  Each play
             # agrees with exactly one of the coalition's strategies, so fewer
@@ -219,7 +209,7 @@ class _Evaluator:
             child = truth_mask(node.child, full, atom, memo)
             if child.bit_count() < space:
                 return child
-            return child if _first_preventer(self.masks(), order, child) is not None else 0
+            return child if _first_preventer(self.masks, order, child) is not None else 0
 
         return truth_mask(f, full, atom, memo)
 
@@ -233,10 +223,6 @@ def _action_masks(g: Game) -> list[list[int]]:
         for row, a in zip(masks, g.agents):
             row[index[play.profile[a]]] |= bit
     return masks
-
-
-def _positions(g: Game, coalition: Coalition) -> tuple[int, ...]:
-    return tuple(k for k, a in enumerate(g.agents) if a in coalition)
 
 
 def _refine(groups: dict[int, int], row: list[int]) -> dict[int, int]:
@@ -296,7 +282,7 @@ def blame_witness(g: Game, play_index: int, coalition: Coalition, f: Formula) ->
     if not evaluator.mask(node) >> play_index & 1:
         return None
     order = evaluator.orders[node.coalition.members]
-    code = _first_preventer(evaluator.masks(), order, evaluator.mask(f))
+    code = _first_preventer(evaluator.masks, order, evaluator.mask(f))
     return Strategy(node.coalition, _choice(g, sum(1 << k for k in order), code))
 
 
@@ -322,7 +308,7 @@ def blamable_coalitions(
         raise ValueError(f"max_size {max_size} out of range for {len(g.agents)} agents")
     _check_play_index(g, play_index)
     evaluator = _Evaluator(g)
-    child = evaluator.mask(f)  # guards f's B nodes as _precheck would
+    child = evaluator.mask(f)  # the fold guards f's B nodes
     for size in range(1, max_size + 1):
         if (space := len(g.actions) ** size) > STRATEGY_CAP:
             raise StrategySpaceError(Coalition(sorted(g.agents)[:size]), space)
@@ -330,7 +316,7 @@ def blamable_coalitions(
         return BlameReport(play_index, f, max_size, ())
     agents = sorted((a, k) for k, a in enumerate(g.agents))
     ids = [a for a, _ in agents]
-    n, m, masks = len(g.agents), len(g.actions), evaluator.masks()
+    n, m, masks = len(g.agents), len(g.actions), evaluator.masks
     if _first_preventer(masks, tuple(range(n)), child) is None:
         return BlameReport(play_index, f, max_size, ())
     if (count := sum(comb(n, size) for size in range(1, max_size + 1))) > STRATEGY_CAP:
@@ -344,16 +330,17 @@ def blamable_coalitions(
     # The recursion is at most max_size deep, and 2**max_size - 1 <= count <= cap.
     codes: dict[int, int | None] = {}  # coalition bits (1 << game position) -> code or None
 
-    def walk(bits: int, groups: dict[int, int], start: int, space: int, depth: int) -> None:
-        space *= m
-        for k in range(start, n):
+    def walk(bits: int, groups: dict[int, int]) -> None:
+        # Each extension of bits adds one agent after its last: size members, space codes.
+        space = m ** (size := bits.bit_count() + 1)
+        for k in range(bits.bit_length(), n):
             code = _first_missing(groups, masks[k], space)
             if code != 0:
                 codes[bits | 1 << k] = code
-                if depth < max_size and k + 1 < n:
-                    walk(bits | 1 << k, _refine(groups, masks[k]), k + 1, space, depth + 1)
+                if size < max_size and k + 1 < n:
+                    walk(bits | 1 << k, _refine(groups, masks[k]))
 
-    walk(0, {0: child}, 0, 1, 1)
+    walk(0, {0: child})
     # Entries in report order: by size, then member ids.
     weights = [1 << k for _, k in agents]
     singles = sum(w for w in weights if codes.get(w, 0) is not None)

@@ -117,6 +117,8 @@ class Coalition(_Record):
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[str] = ()) -> None:
+        if isinstance(members, str):  # iterating "ab" would give the agents a and b
+            raise ValueError(f"a coalition takes a collection of agent ids, not {members!r}")
         canon = tuple(sorted({check_ident(a, "agent id") for a in members}))
         object.__setattr__(self, "members", canon)
 

@@ -219,6 +219,8 @@ def _corpus_game(params: GenParams, sub_seed: int) -> tuple[Game, SplitMix64]:
 
 def corpus_games(params: GenParams, count: int) -> list[Game]:
     """The exact game corpus a sweep with these params walks through."""
+    if type(count) is not int or count < 0:
+        raise ValueError(f"count ({count}) must not be negative")
     master = SplitMix64(params.seed)
     return [_corpus_game(params, master.next64())[0] for _ in range(count)]
 
@@ -281,7 +283,7 @@ def soundness_sweep(
             " must not be negative"
         )
     schema_names = sorted(SCHEMAS)
-    totals = {name: 0 for name in schema_names}
+    totals = dict.fromkeys(schema_names, games * instances_per_schema)
     extras = {"necessitation": 0, "empty_coalition": 0}
     failures: list[dict] = []
 
@@ -303,7 +305,6 @@ def soundness_sweep(
         for name in schema_names:
             for _ in range(instances_per_schema):
                 instance = instantiate_schema(name, _sample_subst(rng, params, game, name, leaves))
-                totals[name] += 1
                 if (play := first(instance, False)) is not None:
                     record(index, game, name, instance, play)
         for _ in range(3):

@@ -22,7 +22,7 @@ from blamelogic import (
     satisfies,
     valid_in_game,
 )
-from blamelogic.checker import STRATEGY_CAP, _Evaluator, _precheck
+from blamelogic.checker import STRATEGY_CAP, _Evaluator
 from blamelogic.formula import blame_nodes
 from blamelogic.generate import (
     GenParams,
@@ -450,14 +450,15 @@ def test_blame_search_one_action_many_agents():
 
 
 def walk_precheck(g, f, cap, extra=None):
-    """The pre-check as a whole-tree walk: unknown agents first, then the cap in walk order.
+    """The pre-check as a whole-tree walk: unknown agents first, then the cap in the
+    fold's order, each B node before those below it and the left operand first.
     ``cap`` must be the cap in force, which the error reports."""
     coalitions, stack = [], [f]
     while stack:
         node = stack.pop()
         if isinstance(node, Blame):
             coalitions.append(node.coalition)
-        stack.extend(getattr(node, k) for k in ("left", "right", "child") if hasattr(node, k))
+        stack.extend(getattr(node, k) for k in ("right", "left", "child") if hasattr(node, k))
     if extra is not None:
         coalitions.insert(0, extra)
     unknown = {a for c in coalitions for a in c} - set(g.agents)
@@ -499,7 +500,7 @@ def test_precheck_facts_raise_what_the_walk_raises(set_cap):
                     set_cap(cap)
                     expected = outcome(walk_precheck, g, f, cap, extra)
                     root = f if extra is None else Blame(extra, f)
-                    assert outcome(_precheck, g, root) == expected
+                    assert outcome(satisfies, g, 0, root) == expected
                     if extra is not None:  # blame_witness folds Blame(extra, f)
                         assert outcome(lambda: blame_witness(g, 0, extra, f)) == expected
                     seen.add(expected and expected[0])
@@ -535,6 +536,63 @@ def test_the_fold_raises_what_the_walk_raises(set_cap):
     assert seen == {None, "agents", "cap", "both"}
 
 
+def route_outcomes(g, f):
+    """Each route's answer on (g, f): the vector by evaluate_all, the least failing
+    play, satisfies' vector, and per play the witness and report for {a}."""
+    a = Coalition(["a"])
+    answers = [
+        answer(lambda: sum(v << i for i, v in enumerate(evaluate_all(g, f).truth))),
+        answer(valid_in_game, g, f),
+    ]
+    if g.plays:  # the play routes need a play
+        answers.append(answer(lambda: [satisfies(g, i, f) for i in range(len(g.plays))]))
+        answers.append(answer(lambda: [blame_witness(g, i, a, f) for i in range(len(g.plays))]))
+        answers.append(answer(lambda: [
+            [(e.coalition, e.witness, e.minimal) for e in blamable_coalitions(g, i, f).entries]
+            for i in range(len(g.plays))
+        ]))  # fmt: skip
+    return answers
+
+
+def test_every_route_matches_the_definitions_at_small_scope(set_cap):
+    # Every formula of at most 3 nodes on the 37 games of at most two plays of
+    # scope (agent a, two actions, props p and q), at the fixed cap and at cap 1,
+    # where B{a} is over it: each route raises what the reference walk raises,
+    # or answers as satisfies and the definition of blame do.
+    from smallscope import games, upto
+
+    a, seen = Coalition(["a"]), set()
+    for g in [g for g in games() if len(g.plays) <= 2]:
+        for f in upto(3):
+            for cap in (STRATEGY_CAP, 1):
+                set_cap(cap)
+                error = outcome(walk_precheck, g, f, cap)
+                blame_error = outcome(walk_precheck, g, f, cap, a)  # the routes that fold B{a} f
+                got = route_outcomes(g, f)
+                seen.add((error and error[0], blame_error and blame_error[0]))
+                if error:
+                    assert got == [error] * len(got[:3]) + [blame_error] * len(got[3:]), f
+                    continue
+                truth = [satisfies(g, i, f) for i in range(len(g.plays))]
+                vector = sum(v << i for i, v in enumerate(truth))
+                assert got[:2] == [vector, next((i for i, v in enumerate(truth) if not v), None)]
+                if not g.plays:
+                    continue
+                assert got[2] == truth
+                if blame_error:
+                    assert got[3:] == [blame_error] * 2, f
+                    continue
+                # The first action, in listed order, that no play where f holds follows.
+                free = [x for x in g.actions if not any(
+                    v and p.profile["a"] == x for p, v in zip(g.plays, truth)
+                )]  # fmt: skip
+                witness = Strategy(a, {"a": free[0]}) if free else None
+                expected = [witness if v else None for v in truth]
+                assert got[3] == expected, f
+                assert got[4] == [[(a, w, True)] if w else [] for w in expected], f
+    assert seen == {(None, None), (None, "cap"), ("agents", "agents"), ("cap", "cap")}
+
+
 def test_a_repeated_agent_does_not_hide_an_unknown_one():
     # Listing 'a' twice would give B{a,ghost} as many game positions as members;
     # no game does, so the fold's guard finds ghost by counting positions.
@@ -561,9 +619,9 @@ def test_the_action_masks_are_built_only_when_needed(monkeypatch):
     evaluator = _Evaluator(g)
     assert evaluator.mask(parse("q & B{a} p")) == 0
     assert evaluator.mask(parse("B{a,b} q")) == 0b11
-    assert evaluator._masks is None
+    assert "masks" not in vars(evaluator)
     assert evaluator.mask(parse("B{b} q")) == 0b11  # b playing y prevents q
-    assert evaluator._masks is not None
+    assert "masks" in vars(evaluator)
 
     def unbuilt(game):
         raise AssertionError("the action masks were built")
@@ -592,7 +650,7 @@ def test_a_shared_subformula_is_walked_once(set_cap):
 
 def oracle(g, f):
     """The truth vector by satisfies, play by play."""
-    _precheck(g, f)  # a game without plays still raises
+    _Evaluator(g).mask(f)  # a game without plays still raises
     return sum(satisfies(g, i, f) << i for i in range(len(g.plays)))
 
 

@@ -26,7 +26,7 @@ from blamelogic.checker import (
     valid_in_game,
 )
 from blamelogic.formula import Bottom, blame_nodes, check_ident, is_ident, truth_mask
-from blamelogic.game import Game, Play
+from blamelogic.game import Game, Play, Strategy
 from blamelogic.generate import (
     GenParams,
     SplitMix64,
@@ -36,7 +36,7 @@ from blamelogic.generate import (
     corpus_games,
     random_formula,
 )
-from blamelogic.parser import format_formula
+from blamelogic.parser import format_formula, parse
 from blamelogic.proofs import (
     BUNDLED_NAMES,
     SCHEMAS,
@@ -85,7 +85,7 @@ class TestCoalition:
         assert Coalition().issubset(Coalition())
         assert Coalition(["c"]).isdisjoint(ab)
         assert not ab.isdisjoint(Coalition(["b"]))
-        assert Coalition(["a"]).union(Coalition(["c", "b"])) == Coalition("abc")
+        assert Coalition(["a"]).union(Coalition(["c", "b"])) == Coalition(["a", "b", "c"])
 
     def test_membership_and_str(self):
         c = Coalition(["b", "a"])
@@ -96,9 +96,24 @@ class TestCoalition:
         with pytest.raises(ValueError):
             Coalition(["a", "B"])
 
+    def test_a_bare_string_is_refused(self, lopez):
+        # Iterating "lopez" would give the coalition {e,l,o,p,z}; each route that
+        # builds a coalition from its argument refuses a string instead.
+        routes = [
+            lambda: Coalition("lopez"),
+            lambda: Blame("a", Prop("p")),
+            lambda: Strategy("a", {"a": "x"}),
+            lambda: instantiate_schema("TruthB", {"phi": Prop("p"), "C": "ab"}),
+            lambda: blame_witness(lopez, 2, "lopez", parse("dead")),
+        ]
+        for route in routes:
+            with pytest.raises(ValueError, match="^a coalition takes a collection of agent ids, not '"):
+                route()
+        assert blame_witness(lopez, 2, ["lopez"], parse("dead")).choice == {"lopez": "hide"}
+
     def test_hashable_and_frozen(self):
         c = Coalition(["a"])
-        assert hash(c) == hash(Coalition("a"))
+        assert hash(c) == hash(Coalition(["a"]))
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.members = ()
 

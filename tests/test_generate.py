@@ -374,6 +374,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="must not be negative"):
             soundness_sweep(GenParams(seed=1), games, instances)
 
+    @pytest.mark.parametrize("count", [-1, True, 2.0])
+    def test_corpus_counts_are_checked_as_the_sweep_checks_them(self, count):
+        with pytest.raises(ValueError, match="must not be negative"):
+            corpus_games(GenParams(seed=1), count)
+        with pytest.raises(ValueError, match="must not be negative"):
+            soundness_sweep(GenParams(seed=1), count, 1)
+
     def test_sweep_catches_a_corrupted_evaluator(self):
         # an evaluator that negates every blame result must light up
         def corrupt(game, formula):

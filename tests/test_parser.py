@@ -219,6 +219,17 @@ def test_no_redundant_parens(f):
         assert other != f
 
 
+def test_printer_properties_on_every_small_formula():
+    # Every formula of at most 5 nodes over p, q, true, false, !, N, B{},
+    # B{a}, B{a,b} and the four connectives: it round-trips, no pair of its
+    # parentheses can go, and "<N>" is never printed as "!N !".
+    from smallscope import formulas, printer_faults
+
+    by_size = formulas(5)
+    assert [len(level) for level in by_size] == [0, 4, 20, 164, 1_460, 14_148]
+    assert printer_faults(f for level in by_size for f in level) == []
+
+
 def test_identifiers_with_uppercase_or_digit_second_character():
     for name in ("aB", "x_Y9", "pN", "bB1"):
         assert parse(name) == Prop(name)

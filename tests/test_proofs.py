@@ -166,6 +166,15 @@ class TestTautology:
                     block = 1 << (1 << i)
                     assert column == ((1 << rows) - 1) // (block + 1) * block
 
+    def test_every_small_formula_against_a_truth_table(self):
+        # Every formula of at most 5 nodes (see smallscope), against a test-side
+        # truth table whose atoms are the Prop, N and B subformulas below no N or B.
+        from smallscope import truth_table, upto
+
+        fs = upto(5)
+        assert [f for f in fs if is_tautology(f) != truth_table(f)] == []
+        assert sum(map(truth_table, fs)) == 1_447  # neither side is constant
+
     @pytest.mark.parametrize("atoms", [17, 18, 19, 20])
     def test_wide_tautologies(self, atoms):
         # With R any formula and X a conjunction of literals over the first
