@@ -567,7 +567,7 @@ def test_every_route_matches_the_definitions_at_small_scope(set_cap):
             for cap in (STRATEGY_CAP, 1):
                 set_cap(cap)
                 error = outcome(walk_precheck, g, f, cap)
-                blame_error = outcome(walk_precheck, g, f, cap, a)  # the routes that fold B{a} f
+                blame_error = outcome(walk_precheck, g, f, cap, a)  # the blame routes check {a} too
                 got = route_outcomes(g, f)
                 seen.add((error and error[0], blame_error and blame_error[0]))
                 if error:
