@@ -284,7 +284,7 @@ def soundness_sweep(
         )
     schema_names = sorted(SCHEMAS)
     totals = dict.fromkeys(schema_names, games * instances_per_schema)
-    extras = {"necessitation": 0, "empty_coalition": 0}
+    extras = {"necessitation": 0, "empty_coalition": 3 * games}
     failures: list[dict] = []
 
     def record(index: int, game: Game, label: str, formula: Formula, play: int) -> None:
@@ -314,7 +314,6 @@ def soundness_sweep(
                 if (play := first(Necessity(f), False)) is not None:
                     record(index, game, "necessitation", Necessity(f), play)
             empty = Blame(Coalition(), f)
-            extras["empty_coalition"] += 1
             if (play := first(empty, True)) is not None:
                 record(index, game, "empty_coalition", empty, play)
 

@@ -223,11 +223,13 @@ def check_proof(proof: Proof) -> ProofFailure | None:
     free: list[bool] = []
     for num, line in enumerate(proof.lines, start=1):
         j = line.just
+        # A reference that is not an int, a bool included, is no line number.
+        refs = j.refs if all(type(r) is int for r in j.refs) else ()
         if j.kind == "hyp":
-            if len(j.refs) != 1 or not 1 <= j.refs[0] <= len(proof.hypotheses):
+            if len(refs) != 1 or not 1 <= refs[0] <= len(proof.hypotheses):
                 return ProofFailure(num, f"bad hypothesis reference {list(j.refs)}")
-            if proof.hypotheses[j.refs[0] - 1] != line.formula:
-                return ProofFailure(num, f"formula does not match hypothesis {j.refs[0]}")
+            if proof.hypotheses[refs[0] - 1] != line.formula:
+                return ProofFailure(num, f"formula does not match hypothesis {refs[0]}")
             free.append(False)
         elif j.kind == "taut":
             try:
@@ -246,9 +248,9 @@ def check_proof(proof: Proof) -> ProofFailure | None:
                 return ProofFailure(num, f"formula is not that {j.name} instance")
             free.append(True)
         elif j.kind == "mp":
-            if len(j.refs) != 2 or not all(1 <= r < num for r in j.refs):
+            if len(refs) != 2 or not all(1 <= r < num for r in refs):
                 return ProofFailure(num, f"bad line reference {list(j.refs)}")
-            i, k = j.refs
+            i, k = refs
             premise = proof.lines[i - 1].formula
             rule = proof.lines[k - 1].formula
             if rule != Implies(premise, line.formula):
@@ -257,9 +259,9 @@ def check_proof(proof: Proof) -> ProofFailure | None:
                 )
             free.append(free[i - 1] and free[k - 1])
         elif j.kind == "nec":
-            if len(j.refs) != 1 or not 1 <= j.refs[0] < num:
+            if len(refs) != 1 or not 1 <= refs[0] < num:
                 return ProofFailure(num, f"bad line reference {list(j.refs)}")
-            src = j.refs[0]
+            src = refs[0]
             if line.formula != Necessity(proof.lines[src - 1].formula):
                 return ProofFailure(num, f"formula is not N applied to line {src}")
             if not free[src - 1]:

@@ -14,8 +14,8 @@ the full bounds and exits 1 on any difference:
     PYTHONPATH=src python3 tests/smallscope.py
 
 that is, both printer properties over every formula of at most 6 nodes, and
-one evaluator per game against ``satisfies`` over every formula of at most
-4 nodes on all 256 games.
+one evaluator per game against ``oracle`` (the recursion of ``satisfies``) over
+every formula of at most 4 nodes on all 256 games.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from blamelogic import (
     Top,
     format_formula,
     parse,
-    satisfies,
 )
-from blamelogic.checker import StrategySpaceError, _Evaluator
+from blamelogic.checker import StrategySpaceError, _Evaluator, _sat
 
 LEAVES = (Prop("p"), Prop("q"), Top(), Bottom())
 UNARY = (
@@ -165,21 +164,21 @@ def outcome(route, *args):
         return "agents", str(e)
 
 
+def oracle(g, f) -> int:
+    """The truth vector by the definition: the fold once, for the guard's errors
+    (a game without plays raises them too), then ``checker._sat`` at each play."""
+    _Evaluator(g).mask(f)
+    return sum(_sat(g, i, f) << i for i in range(len(g.plays)))
+
+
 def evaluator_faults(gs, fs) -> list[tuple[int, str, object, object]]:
     """(game, text, evaluator's, oracle's) where one evaluator per game, answering
-    every formula in turn, differs from ``satisfies`` at some play.
-
-    ``satisfies`` needs a play, so a game without plays takes vector 0 and the
-    error that the first game with plays gives: the B-node guard reads only the
-    formula, the agents and the actions, which every game of the scope shares."""
-    ref, faults = next(g for g in gs if g.plays), []
+    every formula in turn, differs from the oracle."""
+    faults = []
     for k, g in enumerate(gs):
         evaluator = _Evaluator(g)
         for f in fs:
-            got = outcome(evaluator.mask, f)
-            expected = outcome(satisfies, g if g.plays else ref, 0, f)
-            if not isinstance(expected, tuple):
-                expected = sum(satisfies(g, i, f) << i for i in range(len(g.plays)))
+            got, expected = outcome(evaluator.mask, f), outcome(oracle, g, f)
             if got != expected:
                 faults.append((k, format_formula(f), got, expected))
     return faults

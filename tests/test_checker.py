@@ -34,6 +34,7 @@ from blamelogic.generate import (
     random_game,
 )
 from conftest import violations
+from smallscope import oracle, outcome
 
 
 @pytest.fixture
@@ -449,9 +450,9 @@ def test_blame_search_one_action_many_agents():
     assert blame_witness(g, 0, Coalition(agents), parse("p")) is None
 
 
-def walk_precheck(g, f, cap, extra=None):
-    """The pre-check as a whole-tree walk: unknown agents first, then the cap in the
-    fold's order, each B node before those below it and the left operand first.
+def walk_guard(g, f, cap, extra=None):
+    """The B-node guard as a whole-tree walk: unknown agents first, then the cap in
+    the fold's order, each B node before those below it and the left operand first.
     ``cap`` must be the cap in force, which the error reports."""
     coalitions, stack = [], [f]
     while stack:
@@ -474,22 +475,20 @@ def widest(f):
     return max([len(n.coalition) for n in blame_nodes(f)], default=0)
 
 
-def outcome(check, *args):
-    try:
-        check(*args)
-    except StrategySpaceError as e:
-        return "cap", str(e), e.coalition, e.size, e.cap
-    except ValueError as e:
-        return "agents", str(e)
-    return None
+def raised(route, *args):
+    """outcome's account of what the route raises, or None when it returns."""
+    got = outcome(route, *args)
+    return got if isinstance(got, tuple) else None
 
 
-def test_precheck_facts_raise_what_the_walk_raises(set_cap):
+def test_every_route_raises_what_the_walk_raises(set_cap):
     # Formulas drawn over four agents, checked against games that have
     # fewer: some name unknown agents, some go over a small cap, some both.
+    # A third of them come with an extra coalition C, which satisfies on
+    # B_C f and blame_witness for C guard besides f's B nodes.
     rng = SplitMix64(20261019)
     wide = random_game(GenParams(seed=rng.next64(), n_agents=4, n_props=3))
-    seen = set()
+    seen = {"f": set(), "B_C f": set()}
     for n_agents in (1, 2, 3, 4):
         for _ in range(6):
             g = random_game(GenParams(seed=rng.next64(), n_agents=n_agents, n_actions=3))
@@ -498,42 +497,25 @@ def test_precheck_facts_raise_what_the_walk_raises(set_cap):
                 extra = Coalition(rng.subset(wide.agents)) if rng.below(3) == 0 else None
                 for cap in (4, STRATEGY_CAP):
                     set_cap(cap)
-                    expected = outcome(walk_precheck, g, f, cap, extra)
-                    root = f if extra is None else Blame(extra, f)
-                    assert outcome(satisfies, g, 0, root) == expected
-                    if extra is not None:  # blame_witness folds Blame(extra, f)
-                        assert outcome(lambda: blame_witness(g, 0, extra, f)) == expected
-                    seen.add(expected and expected[0])
-                    both = expected and expected[0] == "agents" and widest(f) and (
-                        len(g.actions) ** max(widest(f), len(extra or ())) > cap
-                    )
-                    seen.add("both" if both else None)
-    assert seen == {None, "agents", "cap", "both"}
-
-
-def test_the_fold_raises_what_the_walk_raises(set_cap):
-    # The corpus above, through the routes that guard B nodes inside the fold.
-    rng = SplitMix64(20261019)
-    wide = random_game(GenParams(seed=rng.next64(), n_agents=4, n_props=3))
-    seen = set()
-    for n_agents in (1, 2, 3, 4):
-        for _ in range(6):
-            g = random_game(GenParams(seed=rng.next64(), n_agents=n_agents, n_actions=3))
-            for _ in range(40):
-                f = random_formula(GenParams(seed=rng.next64(), formula_depth=5), wide)
-                if rng.below(3) == 0:  # the extra coalition, which these routes do not take
-                    rng.subset(wide.agents)
-                for cap in (4, STRATEGY_CAP):
-                    set_cap(cap)
-                    expected = outcome(walk_precheck, g, f, cap)
-                    assert outcome(lambda: evaluate_all(g, f)) == expected, f
-                    assert outcome(lambda: valid_in_game(g, f)) == expected, f
-                    seen.add(expected and expected[0])
-                    both = expected and expected[0] == "agents" and widest(f) and (
-                        len(g.actions) ** widest(f) > cap
-                    )
-                    seen.add("both" if both else None)
-    assert seen == {None, "agents", "cap", "both"}
+                    expected = raised(walk_guard, g, f, cap)
+                    assert raised(evaluate_all, g, f) == expected, f
+                    assert raised(valid_in_game, g, f) == expected, f
+                    assert raised(satisfies, g, 0, f) == expected, f
+                    rooted = expected  # what B_C f raises; without a C, that is f
+                    if extra is not None:
+                        rooted = raised(walk_guard, g, f, cap, extra)
+                        assert raised(satisfies, g, 0, Blame(extra, f)) == rooted, f
+                        assert raised(blame_witness, g, 0, extra, f) == rooted, f
+                    for key, error, width in (
+                        ("f", expected, widest(f)),
+                        ("B_C f", rooted, max(widest(f), len(extra or ()))),
+                    ):
+                        seen[key].add(error and error[0])
+                        both = error and error[0] == "agents" and widest(f) and (
+                            len(g.actions) ** width > cap
+                        )
+                        seen[key].add("both" if both else None)
+    assert seen == dict.fromkeys(seen, {None, "agents", "cap", "both"})
 
 
 def route_outcomes(g, f):
@@ -541,13 +523,13 @@ def route_outcomes(g, f):
     play, satisfies' vector, and per play the witness and report for {a}."""
     a = Coalition(["a"])
     answers = [
-        answer(lambda: sum(v << i for i, v in enumerate(evaluate_all(g, f).truth))),
-        answer(valid_in_game, g, f),
+        outcome(lambda: sum(v << i for i, v in enumerate(evaluate_all(g, f).truth))),
+        outcome(valid_in_game, g, f),
     ]
     if g.plays:  # the play routes need a play
-        answers.append(answer(lambda: [satisfies(g, i, f) for i in range(len(g.plays))]))
-        answers.append(answer(lambda: [blame_witness(g, i, a, f) for i in range(len(g.plays))]))
-        answers.append(answer(lambda: [
+        answers.append(outcome(lambda: [satisfies(g, i, f) for i in range(len(g.plays))]))
+        answers.append(outcome(lambda: [blame_witness(g, i, a, f) for i in range(len(g.plays))]))
+        answers.append(outcome(lambda: [
             [(e.coalition, e.witness, e.minimal) for e in blamable_coalitions(g, i, f).entries]
             for i in range(len(g.plays))
         ]))  # fmt: skip
@@ -558,7 +540,7 @@ def test_every_route_matches_the_definitions_at_small_scope(set_cap):
     # Every formula of at most 3 nodes on the 37 games of at most two plays of
     # scope (agent a, two actions, props p and q), at the fixed cap and at cap 1,
     # where B{a} is over it: each route raises what the reference walk raises,
-    # or answers as satisfies and the definition of blame do.
+    # or answers as the oracle and the definition of blame do.
     from smallscope import games, upto
 
     a, seen = Coalition(["a"]), set()
@@ -566,15 +548,15 @@ def test_every_route_matches_the_definitions_at_small_scope(set_cap):
         for f in upto(3):
             for cap in (STRATEGY_CAP, 1):
                 set_cap(cap)
-                error = outcome(walk_precheck, g, f, cap)
-                blame_error = outcome(walk_precheck, g, f, cap, a)  # the blame routes check {a} too
+                error = raised(walk_guard, g, f, cap)
+                blame_error = raised(walk_guard, g, f, cap, a)  # the blame routes check {a} too
                 got = route_outcomes(g, f)
                 seen.add((error and error[0], blame_error and blame_error[0]))
                 if error:
                     assert got == [error] * len(got[:3]) + [blame_error] * len(got[3:]), f
                     continue
-                truth = [satisfies(g, i, f) for i in range(len(g.plays))]
-                vector = sum(v << i for i, v in enumerate(truth))
+                vector = oracle(g, f)
+                truth = [bool(vector >> i & 1) for i in range(len(g.plays))]
                 assert got[:2] == [vector, next((i for i, v in enumerate(truth) if not v), None)]
                 if not g.plays:
                     continue
@@ -648,20 +630,6 @@ def test_a_shared_subformula_is_walked_once(set_cap):
         evaluate_all(g, f)
 
 
-def oracle(g, f):
-    """The truth vector by satisfies, play by play."""
-    _Evaluator(g).mask(f)  # a game without plays still raises
-    return sum(satisfies(g, i, f) << i for i in range(len(g.plays)))
-
-
-def answer(route, *args):
-    """The route's vector, or outcome's account of what it raises."""
-    try:
-        return route(*args)
-    except ValueError:
-        return outcome(route, *args)
-
-
 def test_one_evaluator_per_game_matches_satisfies(set_cap):
     # One evaluator answers a game's formulas one after another, as a sweep
     # does, raising ones among them.  Every vector must equal the oracle's
@@ -683,11 +651,11 @@ def test_one_evaluator_per_game_matches_satisfies(set_cap):
             if k % 8 == 5:
                 formulas += [Blame(["ghost"], f), Blame(g.agents, f)]
         evaluator = _Evaluator(g)
-        answers = [answer(evaluator.mask, f) for f in formulas]
+        answers = [outcome(evaluator.mask, f) for f in formulas]
         for f, got in zip(formulas, answers):
-            assert got == answer(oracle, g, f), f
+            assert got == outcome(oracle, g, f), f
             seen.add(got[0] if isinstance(got, tuple) else "mask")
-        assert [answer(evaluator.mask, f) for f in formulas[::-1]] == answers[::-1]
+        assert [outcome(evaluator.mask, f) for f in formulas[::-1]] == answers[::-1]
     assert seen == {"mask", "agents", "cap"}
 
 
@@ -709,8 +677,8 @@ def test_the_evaluator_memo_outlives_the_formulas_it_is_given(set_cap):
     seen = set()
     for k in range(2000):
         seed = rng.next64()
-        got = answer(evaluator.mask, formula(seed, k))
-        assert got == answer(oracle, g, formula(seed, k)), (k, seed)
+        got = outcome(evaluator.mask, formula(seed, k))
+        assert got == outcome(oracle, g, formula(seed, k)), (k, seed)
         seen.add(got[0] if isinstance(got, tuple) else "mask")
     assert seen == {"mask", "agents", "cap"}
 

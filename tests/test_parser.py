@@ -16,6 +16,7 @@ from blamelogic import (
     Blame,
     Bottom,
     Coalition,
+    Game,
     Iff,
     Implies,
     Necessity,
@@ -28,7 +29,9 @@ from blamelogic import (
     parse,
     possibly,
 )
+from blamelogic.generate import _draw, _leaf_table
 from blamelogic.parser import _MAX_NESTING
+from smallscope import _closing
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -169,23 +172,13 @@ def test_keywords_are_not_identifiers():
         parse("B{false} p")
 
 
-def _formulas(max_depth):
-    leaf = st.sampled_from([p, q, r, Prop("s1"), Top(), Bottom()])
-    coalition = st.lists(st.sampled_from(["a", "b", "c", "dg_2"]), max_size=3).map(Coalition)
+# A zero-play game over the alphabet drawn from: agents a, b, c and dg_2, props p, q, r and s1.
+_GAME = Game(("a", "b", "c", "dg_2"), ("x",), ("o",), (), dict.fromkeys(("p", "q", "r", "s1"), ()))
 
-    def extend(children):
-        return st.one_of(
-            children.map(Not),
-            children.map(Necessity),
-            children.map(possibly),
-            st.tuples(coalition, children).map(lambda t: Blame(*t)),
-            st.tuples(children, children).map(lambda t: Implies(*t)),
-            st.tuples(children, children).map(lambda t: And(*t)),
-            st.tuples(children, children).map(lambda t: Or(*t)),
-            st.tuples(children, children).map(lambda t: Iff(*t)),
-        )
 
-    return st.recursive(leaf, extend, max_leaves=2 ** max_depth)
+def _formulas(depth):
+    """``generate._draw`` of a drawn seed: hypothesis shrinks the seed, not the tree."""
+    return st.integers(0, 2**64 - 1).map(lambda s: _draw(s, depth, _GAME, _leaf_table(_GAME)))
 
 
 @settings(max_examples=300)
@@ -201,19 +194,9 @@ def test_round_trip(f):
 def test_no_redundant_parens(f):
     # stripping any matched pair of printed parentheses must change the tree
     text = format_formula(f)
-    opens = [i for i, ch in enumerate(text) if ch == "("]
-    for i in opens:
-        depth = 0
-        for j in range(i, len(text)):
-            if text[j] == "(":
-                depth += 1
-            elif text[j] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-        stripped = text[:i] + text[i + 1 : j] + text[j + 1 :]
+    for i, j in _closing(text).items():
         try:
-            other = parse(stripped)
+            other = parse(text[:i] + text[i + 1 : j] + text[j + 1 :])
         except ParseError:
             continue
         assert other != f

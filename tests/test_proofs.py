@@ -376,6 +376,26 @@ class TestBundled:
         assert mp > 0
 
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_a_reference_that_is_not_an_int_is_refused(self, name):
+        # True, 1.0 and "1" name no line, however they compare with 1: each
+        # reference of each citing line, replaced by one, fails that line.
+        proof = bundled_script(name)
+        assert check_proof(proof) is None
+        cited = 0
+        for num, line in enumerate(proof.lines, start=1):
+            just, kind = line.just, "hypothesis" if line.just.kind == "hyp" else "line"
+            for k, r in enumerate(just.refs):
+                for bad in (True, float(r), str(r)):
+                    refs = just.refs[:k] + (bad,) + just.refs[k + 1 :]
+                    swapped = Justification(just.kind, refs, just.name, just.subst)
+                    lines = list(proof.lines)
+                    lines[num - 1] = ProofLine(line.formula, swapped)
+                    failure = check_proof(Proof(proof.hypotheses, proof.claim, tuple(lines)))
+                    assert failure == ProofFailure(num, f"bad {kind} reference {list(refs)}")
+                cited += 1
+        assert cited
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_mutants_all_rejected(self, name):
         proof = bundled_script(name)
         suite = list(mutants(proof))
