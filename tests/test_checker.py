@@ -481,41 +481,57 @@ def raised(route, *args):
     return got if isinstance(got, tuple) else None
 
 
-def test_every_route_raises_what_the_walk_raises(set_cap):
-    # Formulas drawn over four agents, checked against games that have
-    # fewer: some name unknown agents, some go over a small cap, some both.
-    # A third of them come with an extra coalition C, which satisfies on
-    # B_C f and blame_witness for C guard besides f's B nodes.
+def guard_corpus():
+    """Formulas drawn over four agents, each with a game that has fewer: some
+    name unknown agents, some go over a small cap, some both. A third of them
+    come with an extra coalition C, None for the rest."""
     rng = SplitMix64(20261019)
     wide = random_game(GenParams(seed=rng.next64(), n_agents=4, n_props=3))
-    seen = {"f": set(), "B_C f": set()}
     for n_agents in (1, 2, 3, 4):
         for _ in range(6):
             g = random_game(GenParams(seed=rng.next64(), n_agents=n_agents, n_actions=3))
             for _ in range(40):
                 f = random_formula(GenParams(seed=rng.next64(), formula_depth=5), wide)
                 extra = Coalition(rng.subset(wide.agents)) if rng.below(3) == 0 else None
-                for cap in (4, STRATEGY_CAP):
-                    set_cap(cap)
-                    expected = raised(walk_guard, g, f, cap)
-                    assert raised(evaluate_all, g, f) == expected, f
-                    assert raised(valid_in_game, g, f) == expected, f
-                    assert raised(satisfies, g, 0, f) == expected, f
-                    rooted = expected  # what B_C f raises; without a C, that is f
-                    if extra is not None:
-                        rooted = raised(walk_guard, g, f, cap, extra)
-                        assert raised(satisfies, g, 0, Blame(extra, f)) == rooted, f
-                        assert raised(blame_witness, g, 0, extra, f) == rooted, f
-                    for key, error, width in (
-                        ("f", expected, widest(f)),
-                        ("B_C f", rooted, max(widest(f), len(extra or ()))),
-                    ):
-                        seen[key].add(error and error[0])
-                        both = error and error[0] == "agents" and widest(f) and (
-                            len(g.actions) ** width > cap
-                        )
-                        seen[key].add("both" if both else None)
-    assert seen == dict.fromkeys(seen, {None, "agents", "cap", "both"})
+                yield g, f, extra
+
+
+def kinds(g, f, cap, error, width):
+    """The error's kind, and 'both' when unknown agents hide a coalition of
+    ``width`` members that is over the cap as well."""
+    both = error and error[0] == "agents" and widest(f) and len(g.actions) ** width > cap
+    return {error and error[0], "both" if both else None}
+
+
+def test_precheck_facts_raise_what_the_walk_raises(set_cap):
+    # satisfies on B_C f and blame_witness for C guard C besides f's B nodes;
+    # without a C, satisfies takes f itself.
+    seen = set()
+    for g, f, extra in guard_corpus():
+        root = f if extra is None else Blame(extra, f)
+        for cap in (4, STRATEGY_CAP):
+            set_cap(cap)
+            expected = raised(walk_guard, g, f, cap, extra)
+            assert raised(satisfies, g, 0, root) == expected, f
+            if extra is not None:
+                assert raised(blame_witness, g, 0, extra, f) == expected, f
+            seen |= kinds(g, f, cap, expected, max(widest(f), len(extra or ())))
+    assert seen == {None, "agents", "cap", "both"}
+
+
+def test_the_fold_raises_what_the_walk_raises(set_cap):
+    # The corpus above, without C, through the routes that guard B nodes
+    # inside the fold.
+    seen = set()
+    for g, f, _ in guard_corpus():
+        for cap in (4, STRATEGY_CAP):
+            set_cap(cap)
+            expected = raised(walk_guard, g, f, cap)
+            assert raised(evaluate_all, g, f) == expected, f
+            assert raised(valid_in_game, g, f) == expected, f
+            assert raised(satisfies, g, 0, f) == expected, f
+            seen |= kinds(g, f, cap, expected, widest(f))
+    assert seen == {None, "agents", "cap", "both"}
 
 
 def route_outcomes(g, f):
