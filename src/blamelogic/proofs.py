@@ -143,6 +143,8 @@ def instantiate_schema(name: str, subst: Mapping[str, object]) -> Formula:
     if not isinstance(name, str) or name not in SCHEMAS:
         raise InstantiationError(f"unknown schema {name!r}")
     schema = SCHEMAS[name]
+    if not isinstance(subst, Mapping):
+        raise InstantiationError(f"{schema.name}: subst must be a mapping")
     bound = dict(subst)
     for var in schema.metavars:
         if var not in bound:
@@ -156,7 +158,10 @@ def instantiate_schema(name: str, subst: Mapping[str, object]) -> Formula:
             if not isinstance(value, Formula):
                 raise InstantiationError(f"{schema.name}: {var} must be a formula")
         elif not isinstance(value, Coalition):
-            bound[var] = Coalition(value)  # accept any iterable of agent ids
+            try:
+                bound[var] = Coalition(value)  # accept any iterable of agent ids
+            except (TypeError, ValueError) as e:
+                raise InstantiationError(str(e)) from None
     if schema.side_condition is not None:
         holds, message = _SIDE_CONDITIONS[schema.side_condition]
         if not holds(bound["C"], bound["D"]):
@@ -223,11 +228,14 @@ def check_proof(proof: Proof) -> ProofFailure | None:
     free: list[bool] = []
     for num, line in enumerate(proof.lines, start=1):
         j = line.just
-        # A reference that is not an int, a bool included, is no line number.
-        refs = j.refs if all(type(r) is int for r in j.refs) else ()
+        if not isinstance(line.formula, Formula):
+            return ProofFailure(num, "formula is not a Formula")
+        # Only a tuple or list of ints, bools excluded, holds line numbers.
+        shown = list(j.refs) if isinstance(j.refs, (tuple, list)) else j.refs
+        refs = shown if isinstance(shown, list) and all(type(r) is int for r in shown) else []
         if j.kind == "hyp":
             if len(refs) != 1 or not 1 <= refs[0] <= len(proof.hypotheses):
-                return ProofFailure(num, f"bad hypothesis reference {list(j.refs)}")
+                return ProofFailure(num, f"bad hypothesis reference {shown}")
             if proof.hypotheses[refs[0] - 1] != line.formula:
                 return ProofFailure(num, f"formula does not match hypothesis {refs[0]}")
             free.append(False)
@@ -249,7 +257,7 @@ def check_proof(proof: Proof) -> ProofFailure | None:
             free.append(True)
         elif j.kind == "mp":
             if len(refs) != 2 or not all(1 <= r < num for r in refs):
-                return ProofFailure(num, f"bad line reference {list(j.refs)}")
+                return ProofFailure(num, f"bad line reference {shown}")
             i, k = refs
             premise = proof.lines[i - 1].formula
             rule = proof.lines[k - 1].formula
@@ -260,7 +268,7 @@ def check_proof(proof: Proof) -> ProofFailure | None:
             free.append(free[i - 1] and free[k - 1])
         elif j.kind == "nec":
             if len(refs) != 1 or not 1 <= refs[0] < num:
-                return ProofFailure(num, f"bad line reference {list(j.refs)}")
+                return ProofFailure(num, f"bad line reference {shown}")
             src = refs[0]
             if line.formula != Necessity(proof.lines[src - 1].formula):
                 return ProofFailure(num, f"formula is not N applied to line {src}")
@@ -342,11 +350,12 @@ def load_proof(document: bytes | str) -> Proof:
                 if var in ("phi", "psi"):
                     subst[var] = _parse_formula(value, f"{where} subst {var}", nodes)
                 elif var in ("C", "D"):
-                    if not isinstance(value, list) or not all(
-                        isinstance(a, str) for a in value
-                    ):
+                    if not isinstance(value, list) or not all(isinstance(a, str) for a in value):
                         raise ProofFormatError(f"{where}: subst {var} must be a list of agent ids")
-                    subst[var] = Coalition(value)
+                    try:
+                        subst[var] = Coalition(value)
+                    except ValueError as e:
+                        raise ProofFormatError(f"{where}: subst {var}: {e}") from None
                 else:
                     raise ProofFormatError(f"{where}: unknown subst key {var!r}")
         lines.append(

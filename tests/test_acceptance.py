@@ -4,6 +4,8 @@ The sweep corpus (criterion 1) is shared by the cross-checks in criteria
 4, 5, and 6, so it is built once per module.
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -58,6 +60,12 @@ def test_criterion_1_soundness_sweep():
     assert report["failures"] == []
     assert all(n == SWEEP_GAMES * INSTANCES_PER_SCHEMA for n in report["schema_totals"].values())
     assert elapsed < 60.0
+    # The report as `fuzz --seed 20260822 --games 500` prints it.
+    printed = (json.dumps(report, indent=2) + "\n").encode()
+    assert (
+        hashlib.sha256(printed).hexdigest()
+        == "c33dc9f9c25848508f62ec1f5087f8d9d924f3c21496ba4928a223a67265f0ea"
+    )
     print(f"criterion 1: PASS ({9 * SWEEP_GAMES * INSTANCES_PER_SCHEMA} instances, "
           f"0 failures, {elapsed:.1f}s)")
 

@@ -10,6 +10,7 @@ import pytest
 
 import blamelogic.cli
 from blamelogic.cli import main
+from blamelogic.generate import GenParams, soundness_sweep
 from blamelogic.proofs import BUNDLED_NAMES, bundled_script, dump_proof
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -254,6 +255,11 @@ class TestFuzz:
         assert report["games"] == 5
         assert report["instances_per_schema"] == 2
         assert report["failures"] == []
+
+    def test_prints_the_sweep_report(self, capsys):
+        report = soundness_sweep(GenParams(7, 4, 4, 4, 16, 4, 4), 2, 20)
+        expected = json.dumps(report, indent=2) + "\n"
+        assert run(capsys, "fuzz", "--seed", "7", "--games", "2") == (0, expected, "")
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "fuzz", "--seed", "11", "--games", "3")

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import operator
 import pickle
+import string
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,9 +49,13 @@ from blamelogic.proofs import (
 
 ONE_PLAY = Game(("a",), ("x",), ("o",), (Play({"a": "x"}, "o"),))
 
-IDENT = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True).filter(
-    lambda s: s not in ("true", "false")
-)
+# The language [a-z][a-z0-9_]{0,5}, drawn as a head and a tail: much
+# faster than st.from_regex on a first run.
+IDENT = st.builds(
+    operator.add,
+    st.sampled_from(string.ascii_lowercase),
+    st.text(string.ascii_lowercase + string.digits + "_", max_size=5),
+).filter(lambda s: s not in ("true", "false"))
 
 
 class TestIdentifiers:

@@ -333,7 +333,8 @@ def test_a_sweep_game_has_one_prop_node_per_name():
 
 
 def test_the_hook_and_the_per_game_evaluator_give_one_report():
-    # CI checks the same at 500 games x 20 instances against the fuzz digest.
+    # CI checks the same at 500 games x 20 instances: its hooked-sweep step
+    # compares the hooked report's bytes with `fuzz`'s output.
     params = GenParams(20260822, 4, 4, 4, 16, 4, 4)
     hooked = soundness_sweep(params, 30, 5, evaluate_all_fn=evaluate_all)
     assert json.dumps(hooked, indent=2) == json.dumps(soundness_sweep(params, 30, 5), indent=2)

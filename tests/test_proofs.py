@@ -283,6 +283,29 @@ class TestKernel:
             line = ProofLine(p, Justification("axiom", (), name, None))
             assert check_proof(Proof((), p, (line,))) == ProofFailure(1, f"unknown schema {name!r}")
 
+    def test_a_malformed_hand_built_field_fails_its_line(self):
+        # No script loads to these values: each must fail line 1, never raise.
+        bad_coalitions = [
+            ("ab", "a coalition takes a collection of agent ids, not 'ab'"),
+            (["Bad"], "invalid agent id 'Bad': must start with a lowercase letter"),
+            (5, "'int' object is not iterable"),
+            (None, "'NoneType' object is not iterable"),
+        ]
+        cases = [
+            (p, Justification("axiom", (), "TruthN", 5), "TruthN: subst must be a mapping"),
+            (p, Justification("axiom", (), "TruthN", "phi"), "TruthN: subst must be a mapping"),
+            *((p, Justification("axiom", (), "TruthB", {"phi": p, "C": c}), reason)
+              for c, reason in bad_coalitions),
+            (p, Justification("hyp", 5), "bad hypothesis reference 5"),
+            (p, Justification("mp", None), "bad line reference None"),
+            (p, Justification("nec", 5), "bad line reference 5"),
+            ("p", Justification("taut"), "formula is not a Formula"),
+            ("p", Justification("hyp", (1,)), "formula is not a Formula"),
+        ]  # fmt: skip
+        for formula, just, reason in cases:
+            proof = Proof((formula,), formula, (ProofLine(formula, just),))
+            assert check_proof(proof) == ProofFailure(1, reason), (formula, just)
+
     def test_final_line_must_match_claim(self):
         lines = (ProofLine(parse("p | !p"), Justification("taut")),)
         failure = check_proof(Proof((), p, lines))
@@ -445,6 +468,10 @@ class TestScriptFormat:
              "line 1: subst C must be a list of agent ids"),
             ({"lines": [{"formula": "p", "just": {"kind": "axiom", "subst": {"D": ["a", 1]}}}]},
              "line 1: subst D must be a list of agent ids"),
+            ({"lines": [{"formula": "p", "just": {"kind": "axiom", "subst": {"C": ["Bad"]}}}]},
+             "line 1: subst C: invalid agent id 'Bad': must start with a lowercase letter"),
+            ({"lines": [{"formula": "p", "just": {"kind": "axiom", "subst": {"C": ["true"]}}}]},
+             "line 1: subst C: invalid agent id 'true': reserved word"),
         ],
     )  # fmt: skip
     def test_load_guards(self, doc, message):
