@@ -173,6 +173,7 @@ class _Evaluator:
         self.game, self.full = g, (1 << len(g.plays)) - 1
         self.orders: dict[tuple[str, ...], tuple[int, ...]] = {}
         self.memo: dict[int, int] = {}
+        self.codes: dict[int, int | None] = {}  # B node id -> the code its search found
         self.kept: list[Formula] = []
 
     @cached_property
@@ -209,7 +210,8 @@ class _Evaluator:
             child = truth_mask(node.child, full, atom, memo)
             if child.bit_count() < space:
                 return child
-            return child if _first_preventer(self.masks, order, child) is not None else 0
+            code = self.codes[id(node)] = _first_preventer(self.masks, order, child)
+            return child if code is not None else 0
 
         return truth_mask(f, full, atom, memo)
 
@@ -282,7 +284,8 @@ def blame_witness(g: Game, play_index: int, coalition: Coalition, f: Formula) ->
     if not evaluator.mask(node) >> play_index & 1:
         return None
     order = evaluator.orders[node.coalition.members]
-    code = _first_preventer(evaluator.masks, order, evaluator.mask(f))
+    if (code := evaluator.codes.get(id(node))) is None:  # decided without a search
+        code = _first_preventer(evaluator.masks, order, evaluator.mask(f))
     return Strategy(node.coalition, _choice(g, sum(1 << k for k in order), code))
 
 

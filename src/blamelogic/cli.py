@@ -59,13 +59,10 @@ def _cmd_blame(args: argparse.Namespace) -> int:
 def _cmd_proof(args: argparse.Namespace) -> int:
     from .proofs import BUNDLED_NAMES, bundled_script, check_proof, load_proof
     if (args.file is None) == (args.bundled is None):
-        print("error: give exactly one of FILE or --bundled NAME", file=sys.stderr)
-        return 2
+        raise ValueError("give exactly one of FILE or --bundled NAME")
     if args.bundled is not None:
         if args.bundled not in BUNDLED_NAMES:
-            known = ", ".join(BUNDLED_NAMES)
-            print(f"error: no bundled script {args.bundled!r} (known: {known})", file=sys.stderr)
-            return 2
+            raise ValueError(f"no bundled script {args.bundled!r} (known: {', '.join(BUNDLED_NAMES)})")
         proof = bundled_script(args.bundled)
     else:
         proof = load_proof(Path(args.file).read_bytes())
@@ -78,17 +75,8 @@ def _cmd_proof(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .generate import GenParams, soundness_sweep
-    params = GenParams(
-        seed=args.seed,
-        n_agents=4,
-        n_actions=4,
-        n_outcomes=4,
-        n_plays=16,
-        n_props=4,
-        formula_depth=4,
-    )
-    report = soundness_sweep(params, args.games, args.instances)
+    from .generate import SWEEP_SHAPE, GenParams, soundness_sweep
+    report = soundness_sweep(GenParams(seed=args.seed, **SWEEP_SHAPE), args.games, args.instances)
     print(json.dumps(report, indent=2))
     return 0 if not report["failures"] else 1
 

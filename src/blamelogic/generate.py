@@ -49,6 +49,9 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 AGENT_ROSTER = ("a", "b", "c", "d")
+# The bounds of the acceptance sweep that `fuzz` runs: each game draws its
+# sizes below these from its own seed.
+SWEEP_SHAPE = dict(n_agents=4, n_actions=4, n_outcomes=4, n_plays=16, n_props=4, formula_depth=4)
 PROP_ROSTER = ("p", "q", "r", "s")
 _ACTION_ROSTER = ("act0", "act1", "act2", "act3")
 _OUTCOME_ROSTER = ("out0", "out1", "out2", "out3")

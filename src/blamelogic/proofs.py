@@ -225,9 +225,13 @@ class ProofFailure(_Record):
 def check_proof(proof: Proof) -> ProofFailure | None:
     """None when every line checks and the last line is the claim.
     A ``taut`` line over more than MAX_TAUTOLOGY_ATOMS atoms raises AtomLimitError."""
+    for field in ("hypotheses", "lines"):
+        if not isinstance(getattr(proof, field), (tuple, list)):
+            return ProofFailure(0, f"{field} is not a tuple or list")
     free: list[bool] = []
     for num, line in enumerate(proof.lines, start=1):
-        j = line.just
+        if not isinstance(line, ProofLine) or not isinstance(j := line.just, Justification):
+            return ProofFailure(num, "not a ProofLine with a Justification")
         if not isinstance(line.formula, Formula):
             return ProofFailure(num, "formula is not a Formula")
         # Only a tuple or list of ints, bools excluded, holds line numbers.

@@ -4,8 +4,12 @@ from importlib import resources
 import pytest
 
 from blamelogic import Game, GameValidationError, load
+from blamelogic.generate import SWEEP_SHAPE, GenParams
 
 SESSION_T0 = time.monotonic()
+
+# The acceptance sweep's parameters: what `fuzz --seed 20260822` sweeps.
+ACCEPTANCE = GenParams(20260822, **SWEEP_SHAPE)
 
 # The one-agent rescue scenario used throughout the docs, in a deliberately
 # non-canonical layout so save() has something to normalize.

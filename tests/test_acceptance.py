@@ -4,7 +4,9 @@ The sweep corpus (criterion 1) is shared by the cross-checks in criteria
 4, 5, and 6, so it is built once per module.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 
@@ -25,43 +27,33 @@ from blamelogic import (
     valid_in_game,
 )
 from blamelogic.formula import And, Bottom, Iff, Implies, Not, Or, Prop, Top
-from blamelogic.generate import (
-    GenParams,
-    SplitMix64,
-    corpus_games,
-    random_formula,
-    soundness_sweep,
-)
+from blamelogic.cli import main
+from blamelogic.generate import GenParams, SplitMix64, corpus_games, random_formula
 from blamelogic.proofs import BUNDLED_NAMES, bundled_script
 from proof_mutations import mutants
 
-SWEEP_PARAMS = GenParams(
-    seed=20260822,
-    n_agents=4,
-    n_actions=4,
-    n_outcomes=4,
-    n_plays=16,
-    n_props=4,
-    formula_depth=4,
-)
 SWEEP_GAMES = 500
 INSTANCES_PER_SCHEMA = 20
 
 
 @pytest.fixture(scope="module")
 def sweep_corpus():
-    return corpus_games(SWEEP_PARAMS, SWEEP_GAMES)
+    return corpus_games(conftest.ACCEPTANCE, SWEEP_GAMES)
 
 
 def test_criterion_1_soundness_sweep():
+    # The report as `fuzz --seed 20260822 --games 500` prints it, run in-process.
+    out = io.StringIO()
     t0 = time.perf_counter()
-    report = soundness_sweep(SWEEP_PARAMS, SWEEP_GAMES, INSTANCES_PER_SCHEMA)
+    with contextlib.redirect_stdout(out):
+        code = main(["fuzz", "--seed", "20260822", "--games", "500"])
     elapsed = time.perf_counter() - t0
+    printed = out.getvalue().encode()
+    report = json.loads(printed)
+    assert code == 0
     assert report["failures"] == []
     assert all(n == SWEEP_GAMES * INSTANCES_PER_SCHEMA for n in report["schema_totals"].values())
     assert elapsed < 60.0
-    # The report as `fuzz --seed 20260822 --games 500` prints it.
-    printed = (json.dumps(report, indent=2) + "\n").encode()
     assert (
         hashlib.sha256(printed).hexdigest()
         == "c33dc9f9c25848508f62ec1f5087f8d9d924f3c21496ba4928a223a67265f0ea"
@@ -118,11 +110,11 @@ def test_criterion_4_kernel_semantics_cross_check(sweep_corpus):
 
 
 def test_criterion_5_s5_block(sweep_corpus):
-    rng = SplitMix64(SWEEP_PARAMS.seed + 5)
+    rng = SplitMix64(conftest.ACCEPTANCE.seed + 5)
     checked = 0
     for game in sweep_corpus:
         for _ in range(3):
-            phi = random_formula(conftest.replace(SWEEP_PARAMS, seed=rng.next64()), game)
+            phi = random_formula(conftest.replace(conftest.ACCEPTANCE, seed=rng.next64()), game)
             box = Necessity(phi)
             for inst in (
                 Implies(box, phi),
@@ -135,11 +127,11 @@ def test_criterion_5_s5_block(sweep_corpus):
 
 
 def test_criterion_6_fairness_invariance(sweep_corpus):
-    rng = SplitMix64(SWEEP_PARAMS.seed + 6)
+    rng = SplitMix64(conftest.ACCEPTANCE.seed + 6)
     done = 0
     while done < 200:
         game = sweep_corpus[rng.below(len(sweep_corpus))]
-        phi = random_formula(conftest.replace(SWEEP_PARAMS, seed=rng.next64()), game)
+        phi = random_formula(conftest.replace(conftest.ACCEPTANCE, seed=rng.next64()), game)
         coalition = Coalition(rng.subset(game.agents))
         phi_truth = evaluate_all(game, phi).truth
         blame_truth = evaluate_all(game, Blame(coalition, phi)).truth

@@ -22,7 +22,7 @@ from blamelogic import (
     satisfies,
     valid_in_game,
 )
-from blamelogic.checker import STRATEGY_CAP, _Evaluator
+from blamelogic.checker import STRATEGY_CAP, _Evaluator, _first_preventer
 from blamelogic.formula import blame_nodes
 from blamelogic.generate import (
     GenParams,
@@ -33,7 +33,7 @@ from blamelogic.generate import (
     random_formula,
     random_game,
 )
-from conftest import violations
+from conftest import ACCEPTANCE, violations
 from smallscope import oracle, outcome
 
 
@@ -630,6 +630,24 @@ def test_the_action_masks_are_built_only_when_needed(monkeypatch):
     assert evaluate_all(g, parse("q & B{a} p")).truth == (False, False)
 
 
+def test_blame_witness_reuses_the_search_that_decided_its_node(monkeypatch):
+    # Where the fold searched for a preventer to decide B_C p, the witness is
+    # that search's code; only a node the pigeonhole shortcut decided is searched.
+    searches = []
+
+    def counting(*args):
+        searches.append(args)
+        return _first_preventer(*args)
+
+    monkeypatch.setattr("blamelogic.checker._first_preventer", counting)
+    calls, p = 0, parse("p")
+    for g in corpus_games(GenParams(seed=20260822, n_agents=2, n_actions=2), 50):
+        for play in range(len(g.plays)):
+            blame_witness(g, play, Coalition([g.agents[0]]), p)
+            calls += 1
+    assert (calls, len(searches)) == (86, 52)
+
+
 def test_a_shared_subformula_is_walked_once(set_cap):
     # 2**64 paths through 65 nodes: the guard and blame_nodes must not follow each path.
     g = Game(("a",), ("x", "y"), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
@@ -650,9 +668,7 @@ def test_one_evaluator_per_game_matches_satisfies(set_cap):
     # One evaluator answers a game's formulas one after another, as a sweep
     # does, raising ones among them.  Every vector must equal the oracle's
     # bit for bit, whatever came before it on this game or on an earlier one.
-    params = GenParams(seed=20260822, n_agents=4, n_actions=4, n_outcomes=4,
-                       n_plays=16, n_props=4, formula_depth=4)  # fmt: skip
-    games = corpus_games(params, 40)
+    games = corpus_games(ACCEPTANCE, 40)
     wide = random_game(GenParams(seed=1, n_agents=4, n_props=4))
     rng = SplitMix64(20261020)
     seen = set()

@@ -1,3 +1,4 @@
+import ast
 import importlib.metadata
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import blamelogic.cli
 from blamelogic.cli import main
-from blamelogic.generate import GenParams, soundness_sweep
+from blamelogic.generate import SWEEP_SHAPE, GenParams, soundness_sweep
 from blamelogic.proofs import BUNDLED_NAMES, bundled_script, dump_proof
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -257,7 +258,7 @@ class TestFuzz:
         assert report["failures"] == []
 
     def test_prints_the_sweep_report(self, capsys):
-        report = soundness_sweep(GenParams(7, 4, 4, 4, 16, 4, 4), 2, 20)
+        report = soundness_sweep(GenParams(7, **SWEEP_SHAPE), 2, 20)
         expected = json.dumps(report, indent=2) + "\n"
         assert run(capsys, "fuzz", "--seed", "7", "--games", "2") == (0, expected, "")
 
@@ -265,6 +266,21 @@ class TestFuzz:
         _, first, _ = run(capsys, "fuzz", "--seed", "11", "--games", "3")
         _, second, _ = run(capsys, "fuzz", "--seed", "11", "--games", "3")
         assert first == second
+
+    def test_the_sweep_workload_runs_what_fuzz_runs(self):
+        # The benchmark's sweep workload states its own copy of the shape and
+        # the instance count; both must stay those of `fuzz`.
+        source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+        values = {
+            node.targets[0].id: node.value
+            for node in ast.parse(source).body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+        shape = values["SWEEP_SHAPE"]
+        assert isinstance(shape, ast.Call) and shape.func.id == "dict" and not shape.args
+        assert {k.arg: ast.literal_eval(k.value) for k in shape.keywords} == SWEEP_SHAPE
+        defaults = blamelogic.cli._build_parser().parse_args(["fuzz", "--seed", "0", "--games", "0"])
+        assert ast.literal_eval(values["SWEEP_INSTANCES"]) == defaults.instances == 20
 
     @pytest.mark.parametrize("flag", ["--games", "--instances"])
     def test_negative_count_is_an_input_error(self, capsys, flag):

@@ -46,6 +46,7 @@ from blamelogic.proofs import (
     instantiate_schema,
     is_tautology,
 )
+from conftest import ACCEPTANCE
 
 ONE_PLAY = Game(("a",), ("x",), ("o",), (Play({"a": "x"}, "o"),))
 
@@ -365,17 +366,15 @@ def reference_facts(f):
 
 
 def test_facts_match_a_walk_on_the_acceptance_corpus():
-    params = GenParams(seed=20260822, n_agents=4, n_actions=4, n_outcomes=4,
-                       n_plays=16, n_props=4, formula_depth=4)  # fmt: skip
-    rng = SplitMix64(params.seed + 61)
+    rng = SplitMix64(ACCEPTANCE.seed + 61)
     formulas = [bundled_script(name).claim for name in BUNDLED_NAMES]
     for name in BUNDLED_NAMES:
         formulas += [line.formula for line in bundled_script(name).lines]
-    for game in corpus_games(params, 60):
+    for game in corpus_games(ACCEPTANCE, 60):
         for _ in range(6):
             formulas.append(random_formula(GenParams(seed=rng.next64(), formula_depth=6), game))
         for name in sorted(SCHEMAS):
-            subst = _sample_subst(rng, params, game, name, _leaf_table(game))
+            subst = _sample_subst(rng, ACCEPTANCE, game, name, _leaf_table(game))
             formulas.append(instantiate_schema(name, subst))
     with_blame = 0
     for f in formulas:

@@ -19,6 +19,7 @@ from blamelogic.generate import (
     AGENT_ROSTER,
     GenParams,
     PROP_ROSTER,
+    SWEEP_SHAPE,
     SplitMix64,
     _draw,
     _first_play,
@@ -31,6 +32,7 @@ from blamelogic.generate import (
 )
 from blamelogic.parser import format_formula
 from blamelogic.proofs import SCHEMAS, instantiate_schema
+from conftest import ACCEPTANCE
 
 
 _MASK64, _GAMMA = (1 << 64) - 1, 0x9E3779B97F4A7C15
@@ -250,8 +252,7 @@ class TestCorpus:
         assert [save(g) for g in a] == [save(g) for g in b]
 
     def test_sizes_vary_within_bounds(self):
-        params = GenParams(seed=123, n_agents=4, n_actions=4,
-                           n_outcomes=4, n_plays=16, n_props=4)
+        params = GenParams(seed=123, **SWEEP_SHAPE)
         games = corpus_games(params, 120)
         assert {len(g.agents) for g in games} == {1, 2, 3, 4}
         assert all(len(g.plays) <= 16 for g in games)
@@ -266,8 +267,7 @@ class TestCorpus:
 def test_schema_instance_stream_is_pinned():
     # The fuzz report holds only counts and failures, so a drift in the
     # drawn instances would not show in it; this digest would.
-    params = GenParams(seed=20260822, n_agents=4, n_actions=4, n_outcomes=4,
-                       n_plays=16, n_props=4, formula_depth=4)
+    params = GenParams(seed=20260822, **SWEEP_SHAPE)
     rng = SplitMix64(params.seed + 7)
     digest = hashlib.sha256()
     for g in corpus_games(params, 200):
@@ -299,9 +299,7 @@ def reference_draw(rng, depth, props, agents):
 
 
 def test_draws_with_a_shared_or_a_fresh_leaf_table_agree():
-    params = GenParams(seed=20260822, n_agents=4, n_actions=4, n_outcomes=4,
-                       n_plays=16, n_props=4, formula_depth=4)  # fmt: skip
-    games = corpus_games(params, 25)
+    games = corpus_games(GenParams(seed=20260822, **SWEEP_SHAPE), 25)
     tables = [_leaf_table(g) for g in games]
     rng = SplitMix64(20261021)
     for k in range(2000):
@@ -335,12 +333,11 @@ def test_a_sweep_game_has_one_prop_node_per_name():
 def test_the_hook_and_the_per_game_evaluator_give_one_report():
     # CI checks the same at 500 games x 20 instances: its hooked-sweep step
     # compares the hooked report's bytes with `fuzz`'s output.
-    params = GenParams(20260822, 4, 4, 4, 16, 4, 4)
-    hooked = soundness_sweep(params, 30, 5, evaluate_all_fn=evaluate_all)
-    assert json.dumps(hooked, indent=2) == json.dumps(soundness_sweep(params, 30, 5), indent=2)
+    hooked = soundness_sweep(ACCEPTANCE, 30, 5, evaluate_all_fn=evaluate_all)
+    assert json.dumps(hooked, indent=2) == json.dumps(soundness_sweep(ACCEPTANCE, 30, 5), indent=2)
     # A clean sweep never reports a play, so compare the play each route would report.
     rng = SplitMix64(20261022)
-    for game in corpus_games(params, 30):
+    for game in corpus_games(ACCEPTANCE, 30):
         routes = _first_play(game, None), _first_play(game, evaluate_all)
         for k in range(12):
             f = _draw(rng.next64(), k % 5, game, _leaf_table(game))

@@ -3,8 +3,8 @@
 Each producer writes what a user or a later run reads: generator streams,
 saved games, proof values, printed formulas and CLI output with its exit
 codes. Any change to those bytes, however small, fails its pin. The
-500-game `fuzz` report is pinned in acceptance criterion 1, on the report
-that test already computes.
+500-game `fuzz` report is pinned in acceptance criterion 1, which runs `fuzz`
+in-process and hashes what it prints.
 """
 
 import contextlib
@@ -26,6 +26,7 @@ from blamelogic import (
     save,
 )
 from blamelogic.cli import main
+from conftest import ACCEPTANCE
 
 
 def _lines(values):
@@ -40,8 +41,7 @@ def splitmix64_streams():
 
 
 def corpus_documents():
-    params = GenParams(20260822, 4, 4, 4, 16, 4, 4)
-    return b"".join(save(g) for g in corpus_games(params, 500))
+    return b"".join(save(g) for g in corpus_games(ACCEPTANCE, 500))
 
 
 def bundled_proofs_repr():

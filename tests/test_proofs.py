@@ -306,6 +306,22 @@ class TestKernel:
             proof = Proof((formula,), formula, (ProofLine(formula, just),))
             assert check_proof(proof) == ProofFailure(1, reason), (formula, just)
 
+    def test_a_malformed_hand_built_proof_fails_never_raises(self):
+        # A field that is not a sequence fails the proof at line 0; a line that
+        # is not a ProofLine with a Justification fails that line.
+        hyp = ProofLine(p, Justification("hyp", (1,)))
+        cases = [
+            (Proof((), p, (5,)), 1, "not a ProofLine with a Justification"),
+            (Proof((), p, (ProofLine(p, "taut"),)), 1, "not a ProofLine with a Justification"),
+            (Proof((), p, (ProofLine(p, None),)), 1, "not a ProofLine with a Justification"),
+            (Proof((p,), p, (hyp, 5)), 2, "not a ProofLine with a Justification"),
+            (Proof(5, p, (hyp,)), 0, "hypotheses is not a tuple or list"),
+            (Proof((), p, 5), 0, "lines is not a tuple or list"),
+            (Proof((), p, None), 0, "lines is not a tuple or list"),
+        ]
+        for proof, line, reason in cases:
+            assert check_proof(proof) == ProofFailure(line, reason), proof
+
     def test_final_line_must_match_claim(self):
         lines = (ProofLine(parse("p | !p"), Justification("taut")),)
         failure = check_proof(Proof((), p, lines))
