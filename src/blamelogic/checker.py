@@ -213,7 +213,10 @@ class _Evaluator:
             code = self.codes[id(node)] = _first_preventer(self.masks, order, child)
             return child if code is not None else 0
 
-        return truth_mask(f, full, atom, memo)
+        try:  # atom refers to itself: clear it, so no call leaves a cycle
+            return truth_mask(f, full, atom, memo)
+        finally:
+            atom = None
 
 
 def _action_masks(g: Game) -> list[list[int]]:
@@ -344,6 +347,7 @@ def blamable_coalitions(
                     walk(bits | 1 << k, _refine(groups, masks[k]))
 
     walk(0, {0: child})
+    walk = None  # walk refers to itself: clear it, so no call leaves a cycle
     # Entries in report order: by size, then member ids.
     weights = [1 << k for _, k in agents]
     singles = sum(w for w in weights if codes.get(w, 0) is not None)

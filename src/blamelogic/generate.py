@@ -202,7 +202,8 @@ def _draw(seed: int, depth: int, game: Game, leaves: tuple) -> Formula:
             return Blame(Coalition._canonical(members), formula(depth - 1))  # a game's ids are valid
         return kind(formula(depth - (3 if kind is possibly else 1)))
 
-    return formula(depth)
+    drawn, formula = formula(depth), None  # formula refers to itself: no cycle is left
+    return drawn
 
 
 def _corpus_game(params: GenParams, sub_seed: int) -> tuple[Game, SplitMix64]:

@@ -81,7 +81,8 @@ def _distributivity(phi: Formula, psi: Formula) -> Formula:
 
 
 def _negative_introspection(phi: Formula) -> Formula:
-    return Implies(Not(Necessity(phi)), Necessity(Not(Necessity(phi))))
+    unknown = Not(Necessity(phi))
+    return Implies(unknown, Necessity(unknown))
 
 
 def _none_to_blame(phi: Formula) -> Formula:
@@ -108,7 +109,8 @@ def _monotonicity(phi: Formula, c: Coalition, d: Coalition) -> Formula:
 
 
 def _fairness(phi: Formula, c: Coalition) -> Formula:
-    return Implies(Blame(c, phi), Necessity(Implies(phi, Blame(c, phi))))
+    blamed = Blame(c, phi)
+    return Implies(blamed, Necessity(Implies(phi, blamed)))
 
 
 # Side condition -> (predicate on C and D, what a violation says).

@@ -8,6 +8,7 @@ import blamelogic.proofs
 from blamelogic import (
     And,
     AtomLimitError,
+    Blame,
     Coalition,
     Iff,
     Implies,
@@ -80,6 +81,19 @@ class TestSchemas:
     )
     def test_frozen_instances(self, name, subst, text):
         assert format_formula(instantiate_schema(name, subst)) == text
+
+    def test_repeated_subformulas_are_built_once(self):
+        phi = parse("p & B{b} q")
+        both = instantiate_schema(
+            "JointResponsibility", {"phi": phi, "psi": q, "C": A, "D": Coalition(["b"])}
+        )
+        assert both.right.right.child is both.right.left
+        fair = instantiate_schema("Fairness", {"phi": phi, "C": A})
+        assert fair.right.child.right is fair.left
+        assert fair == Implies(Blame(A, phi), Necessity(Implies(phi, Blame(A, phi))))
+        unknown = instantiate_schema("NegativeIntrospection", {"phi": phi})
+        assert unknown.right.child is unknown.left
+        assert unknown == Implies(Not(Necessity(phi)), Necessity(Not(Necessity(phi))))
 
     def test_unknown_schema(self):
         with pytest.raises(InstantiationError, match="unknown schema"):
