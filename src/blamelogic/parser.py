@@ -22,7 +22,7 @@ byte offsets.
 
 ``parse`` lexes with one ``findall`` and climbs precedence in one loop:
 ``binary(level)`` reads a unary operand, then each binary operator of that
-level or tighter.  Only an error re-lexes, with ``_lex``, to find its offset.
+level or tighter.  An error re-reads the text with the same regex to find its offset.
 Every node comes from one table, so equal subformulas of a text are one
 object; ``_parse`` lets a caller share that table across several texts.
 """
@@ -90,18 +90,6 @@ def _is_token(token: str) -> bool:
     return token in _SYMBOLS or "a" <= token[0] <= "z"
 
 
-def _lex(text: str) -> list[tuple[str, int]]:
-    """(token, offset) pairs, ending with ("", len(text)) for end of input."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        token = m[0]
-        if not _is_token(token):
-            raise ParseError(m.start(), _LEX_EXPECTED.get(token, "a token"), repr(token))
-        tokens.append((token, m.start()))
-    tokens.append(("", len(text)))
-    return tokens
-
-
 class _Parser:
     def __init__(self, text: str, tokens: list[str], nodes: dict) -> None:
         self._text = text
@@ -112,8 +100,9 @@ class _Parser:
         self._nodes = nodes
 
     def _fail(self, expected: str, error: type[ParseError] = ParseError) -> ParseError:
-        token, offset = _lex(self._text)[self._pos]
-        return error(offset, expected, repr(token) if token else "end of input")
+        token = self._tokens[self._pos]  # "" is end of input, at offset len(text)
+        offsets = [m.start() for m in _TOKEN.finditer(self._text)] + [len(self._text)]
+        return error(offsets[self._pos], expected, repr(token) if token else "end of input")
 
     def _take(self, token: str, expected: str) -> None:
         if self._tokens[self._pos] != token:
@@ -195,10 +184,11 @@ def parse(text: str) -> Formula:
 def _parse(text: str, nodes: dict) -> Formula:
     """``parse`` with the node table `nodes`, which may be shared with other calls."""
     tokens = _TOKEN.findall(text)
-    if not all(map(_is_token, set(tokens))):
-        _lex(text)  # raises at the first character that starts no token
-    tokens.append("")
     parser = _Parser(text, tokens, nodes)
+    if not all(map(_is_token, set(tokens))):  # report the first character that starts no token
+        parser._pos = next(i for i, token in enumerate(tokens) if not _is_token(token))
+        raise parser._fail(_LEX_EXPECTED.get(tokens[parser._pos], "a token"))
+    tokens.append("")
     result = parser.binary(0)
     if tokens[parser._pos]:
         raise parser._fail("end of input")

@@ -302,13 +302,22 @@ def test_prefixes_and_chains_are_not_bounded():
 
 def test_lexing_is_linear():
     # A validator that could backtrack would double its time with every
-    # character or two here, and take hours on these inputs.
-    for text in ("a" * 20_000 + "$", "a " * 20_000 + "$"):
+    # character or two in the first three inputs, and take hours on them.  The
+    # first bad character is reported before any grammar error; the last three
+    # inputs are grammar errors deep in a long input.
+    for text, position, expected, found in (
+        ("a" * 20_000 + "$", 20_000, "a token", "'$'"),
+        ("a " * 20_000 + "$", 40_000, "a token", "'$'"),
+        ("p ) " * 20_000 + "$ $", 80_000, "a token", "'$'"),
+        ("p & " * 20_000 + ")", 80_000, "a formula", "')'"),
+        ("p " * 20_000, 2, "end of input", "'p'"),
+        ("p &" * 20_000, 60_000, "a formula", "end of input"),
+    ):
         start = time.perf_counter()
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert time.perf_counter() - start < 1.0
-        assert (exc.value.position, exc.value.found) == (len(text) - 1, "'$'")
+        assert (exc.value.position, exc.value.expected, exc.value.found) == (position, expected, found)
 
 
 def test_atoms_are_shared_within_one_parse():
