@@ -189,7 +189,7 @@ class _Evaluator:
         g, cap, full, orders, memo = self.game, STRATEGY_CAP, self.full, self.orders, self.memo
         self.kept.append(f)  # before the fold, which may memoise part of f and then raise
 
-        def atom(node: Formula) -> int:
+        def atom(node: Formula, atom) -> int:  # handed itself: it names no cell of its own
             if isinstance(node, Prop):
                 return sum(1 << i for i in g.valuation.get(node.name, ()))
             if isinstance(node, Necessity):
@@ -213,10 +213,7 @@ class _Evaluator:
             code = self.codes[id(node)] = _first_preventer(self.masks, order, child)
             return child if code is not None else 0
 
-        try:  # atom refers to itself: clear it, so no call leaves a cycle
-            return truth_mask(f, full, atom, memo)
-        finally:
-            atom = None
+        return truth_mask(f, full, atom, memo)
 
 
 def _action_masks(g: Game) -> list[list[int]]:
@@ -330,13 +327,14 @@ def blamable_coalitions(
             f"{count} coalitions of up to {max_size} agents, over the cap {STRATEGY_CAP}"
         )
 
-    # One walk: each coalition is its parent plus an agent later in game
+    # One work list: each coalition is its parent plus an agent later in game
     # order, and its groups refine the parent's.  Where code 0 prevents, it
     # prevents for every extension, so a coalition not recorded has code 0.
-    # The recursion is at most max_size deep, and 2**max_size - 1 <= count <= cap.
+    # Each coalition has one parent, so it is scored once, and 2**max_size - 1 <= count <= cap.
     codes: dict[int, int | None] = {}  # coalition bits (1 << game position) -> code or None
-
-    def walk(bits: int, groups: dict[int, int]) -> None:
+    work = [(0, {0: child})]
+    while work:
+        bits, groups = work.pop()
         # Each extension of bits adds one agent after its last: size members, space codes.
         space = m ** (size := bits.bit_count() + 1)
         for k in range(bits.bit_length(), n):
@@ -344,10 +342,7 @@ def blamable_coalitions(
             if code != 0:
                 codes[bits | 1 << k] = code
                 if size < max_size and k + 1 < n:
-                    walk(bits | 1 << k, _refine(groups, masks[k]))
-
-    walk(0, {0: child})
-    walk = None  # walk refers to itself: clear it, so no call leaves a cycle
+                    work.append((bits | 1 << k, _refine(groups, masks[k])))
     # Entries in report order: by size, then member ids.
     weights = [1 << k for _, k in agents]
     singles = sum(w for w in weights if codes.get(w, 0) is not None)

@@ -246,24 +246,24 @@ def possibly(f: Formula) -> Formula:
 
 
 def truth_mask(
-    f: Formula, full: int, atom: Callable[[Formula], int], memo: dict[int, int]
+    f: Formula, full: int, atom: Callable[[Formula, Callable], int], memo: dict[int, int]
 ) -> int:
     """Truth vector of ``f`` as a bitmask with one bit per row.
 
-    ``full`` has every row's bit set; a row is a play for the model
-    checker and a truth-table row for the tautology checker.  The fold
-    computes Not, Implies, And, Or, Iff, Top and Bottom itself and asks
-    ``atom(node)`` for every Prop, Necessity and Blame node; ``atom`` may
-    fold a node's child through this function with the same memo.
-    Every vector ``atom`` returns must lie within ``full`` (no bit set
-    outside it): negation is ``^ full``, so the result is then exact and
-    within ``full`` too.
-    Children are folded left to right, and each node object at most once
-    per memo.  ``memo`` maps ``id(node)`` to its vector, so the caller must
-    keep every node folded into it alive while the memo is in use, over
-    as many formulas as it serves: a new node could take a freed node's
-    id and read its vector.  Identity keys cost nothing, where a
-    structural key would pay the recursive hash at every node.
+    ``full`` has every row's bit set; a row is a play for the model checker and a
+    truth-table row for the tautology checker.  The fold computes Not, Implies, And,
+    Or, Iff, Top and Bottom itself and asks ``atom(node, atom)`` for every Prop,
+    Necessity and Blame node.  ``atom`` may fold a node's child through this
+    function with the same memo and the ``atom`` it is handed, so no atom names
+    itself: a closure that did would hold itself in a cycle, which reference
+    counting never frees.  Every vector ``atom`` returns must lie within ``full``
+    (no bit set outside it): negation is ``^ full``, so the result is then exact and
+    within ``full`` too.  Children are folded left to right, and each node object at
+    most once per memo.  ``memo`` maps ``id(node)`` to its vector, so the caller
+    must keep every node folded into it alive while the memo is in use, over as many
+    formulas as it serves: a new node could take a freed node's id and read its
+    vector.  Identity keys cost nothing, where a structural key would pay the
+    recursive hash at every node.
     """
     m = memo.get(id(f))
     if m is not None:
@@ -274,7 +274,7 @@ def truth_mask(
         raise TypeError(f"not a formula: {f!r}") from None
     k = f._key  # a folded node's fields are its children
     if op is None:
-        m = atom(f)
+        m = atom(f, atom)
     elif len(k) == 2:
         m = op(full, truth_mask(k[0], full, atom, memo), truth_mask(k[1], full, atom, memo))
     else:

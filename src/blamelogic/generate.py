@@ -186,7 +186,7 @@ def _draw(seed: int, depth: int, game: Game, leaves: tuple) -> Formula:
     props, top, bottom = leaves
     agents, next64 = game.agents, SplitMix64(seed).next64  # bound once: one call a draw
 
-    def formula(depth: int) -> Formula:
+    def formula(depth: int, formula) -> Formula:  # handed itself: it names no cell of its own
         kind = _LEAVES[next64() % len(_LEAVES)] if depth <= 0 else _NODES[next64() % len(_NODES)]
         if kind is possibly and depth < 3:
             kind = Not  # "<N>" desugars to three nodes, so it needs the room
@@ -195,15 +195,14 @@ def _draw(seed: int, depth: int, game: Game, leaves: tuple) -> Formula:
         if kind is Top or kind is Bottom:
             return top if kind is Top else bottom
         if kind in _BINARY:
-            left = formula(depth - 1)
-            return kind(left, formula(depth - 1))
+            left = formula(depth - 1, formula)
+            return kind(left, formula(depth - 1, formula))
         if kind is Blame:
-            members = tuple(sorted([a for a in agents if next64() % 2]))
-            return Blame(Coalition._canonical(members), formula(depth - 1))  # a game's ids are valid
-        return kind(formula(depth - (3 if kind is possibly else 1)))
+            members = tuple(sorted([a for a in agents if next64() % 2]))  # a game's ids are valid
+            return Blame(Coalition._canonical(members), formula(depth - 1, formula))
+        return kind(formula(depth - (3 if kind is possibly else 1), formula))
 
-    drawn, formula = formula(depth), None  # formula refers to itself: no cycle is left
-    return drawn
+    return formula(depth, formula)
 
 
 def _corpus_game(params: GenParams, sub_seed: int) -> tuple[Game, SplitMix64]:

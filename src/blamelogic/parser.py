@@ -70,6 +70,8 @@ _INFIX = {op: (level, node, grouping) for level, (op, node, grouping) in enumera
 # Each prefix operator wraps its operand in these node types ("<N>" is "!N !").
 _PREFIX = {"!": (Not,), "N": (Necessity,), "<N>": (Not, Necessity, Not)}
 _CONSTANTS = {"true": Top, "false": Bottom}
+_KEYWORDS = {node: word for word, node in _CONSTANTS.items()}
+_HEADS = {Not: "!", Necessity: "N ", Blame: None}  # a Blame node's head names its coalition
 
 # A symbol, an identifier or keyword, or a character that starts no token
 # (a lone "-" or "<" gets a hint at what was meant).  Nothing backtracks.
@@ -203,27 +205,22 @@ def format_formula(f: Formula) -> str:
 def _fmt(f: Formula, required: int) -> str:
     """Text of f, parenthesized when it binds looser than level `required`."""
     # _key holds the fields; reading it skips a property call per field.
-    binary = _LEVELS.get(type(f))
+    kind = type(f)  # exact, as in the fold: a subclass's text would not parse back
+    binary = _LEVELS.get(kind)
     if binary is not None:
         level, op, grouping = binary
         left = _fmt(f._key[0], level if grouping == "left" else level + 1)
         text = left + op + _fmt(f._key[1], level if grouping == "right" else level + 1)
         return f"({text})" if level < required else text
-    if isinstance(f, Prop):
+    if kind is Prop:
         return f._key[0]
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if not isinstance(f, (Not, Necessity, Blame)):
+    if kind in _KEYWORDS:
+        return _KEYWORDS[kind]
+    if kind not in _HEADS:
         raise TypeError(f"not a formula: {f!r}")
-    k = f._key  # the child is the last field
-    if isinstance(f, Not) and isinstance(k[0], Necessity) and isinstance(k[0]._key[0], Not):
+    head, k = _HEADS[kind], f._key  # the child is the last field
+    if kind is Not and type(k[0]) is Necessity and type(k[0]._key[0]) is Not:
         head, k = "<N> ", k[0]._key[0]._key
-    elif isinstance(f, Not):
-        head = "!"
-    elif isinstance(f, Necessity):
-        head = "N "
-    else:
+    elif head is None:
         head = "B{" + ",".join(k[0].members) + "} "
     return head + _fmt(k[-1], _UNARY)

@@ -177,7 +177,7 @@ def is_tautology(f: Formula) -> bool:
     # over no rows in the order it meets them.
     order: dict[Formula, int] = {}
 
-    def number(atom: Formula) -> int:
+    def number(atom: Formula, _) -> int:
         order.setdefault(atom, len(order))
         return 0
 
@@ -189,7 +189,7 @@ def is_tautology(f: Formula) -> bool:
     rows = 1 << len(order)
     full = (1 << rows) - 1
     masks = {atom: _column(i, rows) for atom, i in order.items()}
-    return truth_mask(f, full, masks.__getitem__, {}) == full
+    return truth_mask(f, full, lambda atom, _: masks[atom], {}) == full
 
 
 def _column(i: int, rows: int) -> int:

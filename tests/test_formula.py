@@ -50,6 +50,17 @@ from conftest import ACCEPTANCE
 
 ONE_PLAY = Game(("a",), ("x",), ("o",), (Play({"a": "x"}, "o"),))
 
+
+class SubProp(Prop):
+    """A node subclass: every route refuses it, as its text would parse back to a Prop."""
+
+    __slots__ = ()
+
+
+class SubNot(Not):
+    __slots__ = ()
+
+
 # The language [a-z][a-z0-9_]{0,5}, drawn as a head and a tail: much
 # faster than st.from_regex on a first run.
 IDENT = st.builds(
@@ -161,7 +172,7 @@ def test_truth_mask_folds_connectives_and_asks_atom_for_the_rest():
     vectors = {p: 0b0011, q: 0b0101, n: 0b1000, b: 0b0001}
     asked = []
 
-    def atom(node):
+    def atom(node, _):
         asked.append(node)
         return vectors[node]
 
@@ -208,7 +219,7 @@ def test_truth_mask_is_exact_on_random_formulas():
         full = (1 << rows) - 1
         vectors = {}
 
-        def atom(node):
+        def atom(node, _):
             return vectors.setdefault(node, rng.next64() & full)
 
         m = truth_mask(f, full, atom, {})
@@ -324,7 +335,11 @@ class TestNodeContract:
             "is_tautology",
         ],
     )
-    @pytest.mark.parametrize("root", ["p", None, 3])
+    @pytest.mark.parametrize(
+        "root",
+        ["p", None, 3, SubProp("p"), SubNot(Prop("p"))],
+        ids=["p", "None", "3", "SubProp", "SubNot"],
+    )
     def test_non_formula_root_is_a_type_error(self, route, root):
         with pytest.raises(TypeError) as caught:
             route(root)
