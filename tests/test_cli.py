@@ -279,8 +279,9 @@ class TestFuzz:
         shape = values["SWEEP_SHAPE"]
         assert isinstance(shape, ast.Call) and shape.func.id == "dict" and not shape.args
         assert {k.arg: ast.literal_eval(k.value) for k in shape.keywords} == SWEEP_SHAPE
-        defaults = blamelogic.cli._build_parser().parse_args(["fuzz", "--seed", "0", "--games", "0"])
-        assert ast.literal_eval(values["SWEEP_INSTANCES"]) == defaults.instances == 20
+        handler, arguments = blamelogic.cli._read(["fuzz", "--seed", "0", "--games", "0"])
+        assert handler is blamelogic.cli._cmd_fuzz
+        assert ast.literal_eval(values["SWEEP_INSTANCES"]) == arguments["instances"] == 20
 
     @pytest.mark.parametrize("flag", ["--games", "--instances"])
     def test_negative_count_is_an_input_error(self, capsys, flag):

@@ -112,6 +112,7 @@ def test_each_subcommand_loads_the_modules_it_runs(lopez_file, command):
 
 
 def test_no_command_loads_dataclasses_or_inspect(lopez_file):
+    # Nor argparse, or gettext, which its first message lookup loads.
     runs = [
         [command] + [str(lopez_file) if a == "GAME" else a for a in args]
         for command, (args, _) in RUNS.items()
@@ -121,6 +122,21 @@ def test_no_command_loads_dataclasses_or_inspect(lopez_file):
         "from blamelogic.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {runs!r}]\n"
-        "print(json.dumps([codes, [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))"
+        "heavy = ('dataclasses', 'inspect', 'argparse', 'gettext')\n"
+        "print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))"
     )
     assert (codes, heavy) == ([0] * len(RUNS), [])
+
+
+def test_fmt_loads_no_json():
+    # Every other command reads or prints a JSON document; fmt needs no json.
+    loaded = fresh(
+        "import contextlib, io, sys\n"
+        "from blamelogic.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['fmt', '--formula', 'p & q'])\n"
+        "loaded = 'json' in sys.modules\n"
+        "import json\n"
+        "print(json.dumps([code, loaded]))"
+    )
+    assert loaded == [0, False]
