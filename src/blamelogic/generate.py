@@ -49,12 +49,19 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 AGENT_ROSTER = ("a", "b", "c", "d")
-# The bounds of the acceptance sweep that `fuzz` runs: each game draws its
-# sizes below these from its own seed.
-SWEEP_SHAPE = dict(n_agents=4, n_actions=4, n_outcomes=4, n_plays=16, n_props=4, formula_depth=4)
 PROP_ROSTER = ("p", "q", "r", "s")
 _ACTION_ROSTER = ("act0", "act1", "act2", "act3")
 _OUTCOME_ROSTER = ("out0", "out1", "out2", "out3")
+# Each game size's least and greatest value, in the order a corpus game draws them.
+_SIZES = {
+    "n_agents": (1, len(AGENT_ROSTER)),
+    "n_actions": (1, len(_ACTION_ROSTER)),
+    "n_outcomes": (1, len(_OUTCOME_ROSTER)),
+    "n_plays": (0, 16),
+    "n_props": (1, len(PROP_ROSTER)),
+}
+# The acceptance sweep that `fuzz` runs: each game draws every size up to its greatest.
+SWEEP_SHAPE = {name: high for name, (_, high) in _SIZES.items()} | {"formula_depth": 4}
 
 
 # A block is 16 counter states, one per 128-bit lane of an int: lane k holds
@@ -126,19 +133,13 @@ class GenParams(_Record):
         n_props: int = 2,
         formula_depth: int = 4,
     ) -> None:
-        checks = (
-            (seed, 0, _MASK64, "seed must fit in 64 bits"),
-            (n_agents, 1, 4, "n_agents must be in [1, 4]"),
-            (n_actions, 1, 4, "n_actions must be in [1, 4]"),
-            (n_outcomes, 1, 4, "n_outcomes must be in [1, 4]"),
-            (n_plays, 0, 16, "n_plays must be in [0, 16]"),
-            (n_props, 1, 4, "n_props must be in [1, 4]"),
-            (formula_depth, 0, 6, "formula_depth must be in [0, 6]"),
-        )
-        for value, low, high, message in checks:
-            if type(value) is not int or not low <= value <= high:
-                raise ValueError(message)
         self._fill(seed, n_agents, n_actions, n_outcomes, n_plays, n_props, formula_depth)
+        if type(seed) is not int or not 0 <= seed <= _MASK64:
+            raise ValueError("seed must fit in 64 bits")
+        for name, (low, high) in (*_SIZES.items(), ("formula_depth", (0, 6))):
+            value = getattr(self, name)
+            if type(value) is not int or not low <= value <= high:
+                raise ValueError(f"{name} must be in [{low}, {high}]")
 
 
 def random_game(params: GenParams) -> Game:
@@ -208,16 +209,9 @@ def _draw(seed: int, depth: int, game: Game, leaves: tuple) -> Formula:
 def _corpus_game(params: GenParams, sub_seed: int) -> tuple[Game, SplitMix64]:
     """Build game number i of a corpus and hand back its live stream."""
     rng = SplitMix64(sub_seed)
-    sizes = GenParams(
-        seed=rng.next64(),
-        n_agents=1 + rng.below(params.n_agents),
-        n_actions=1 + rng.below(params.n_actions),
-        n_outcomes=1 + rng.below(params.n_outcomes),
-        n_plays=rng.below(params.n_plays + 1),
-        n_props=1 + rng.below(params.n_props),
-        formula_depth=params.formula_depth,
-    )
-    return random_game(sizes), rng
+    seed = rng.next64()  # then each size, in table order
+    sizes = {n: low + rng.below(getattr(params, n) - low + 1) for n, (low, _) in _SIZES.items()}
+    return random_game(GenParams(seed, **sizes, formula_depth=params.formula_depth)), rng
 
 
 def corpus_games(params: GenParams, count: int) -> list[Game]:
@@ -232,15 +226,11 @@ def _sample_subst(
     rng: SplitMix64, params: GenParams, game: Game, schema_name: str, leaves: tuple
 ) -> dict:
     schema = SCHEMAS[schema_name]
-    subst: dict = {}
-
-    def draw() -> Formula:
-        return _draw(rng.next64(), params.formula_depth, game, leaves)
-
-    if "phi" in schema.metavars:
-        subst["phi"] = draw()
-    if "psi" in schema.metavars:
-        subst["psi"] = draw()
+    subst = {  # phi is drawn before psi
+        name: _draw(rng.next64(), params.formula_depth, game, leaves)
+        for name in ("phi", "psi")
+        if name in schema.metavars
+    }
     if "C" in schema.metavars:
         # A game's ids are valid and distinct, so the members need only sorting.
         c = rng.subset(game.agents)

@@ -30,6 +30,7 @@ object; ``_parse`` lets a caller share that table across several texts.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .formula import (
     And,
@@ -103,8 +104,9 @@ class _Parser:
 
     def _fail(self, expected: str, error: type[ParseError] = ParseError) -> ParseError:
         token = self._tokens[self._pos]  # "" is end of input, at offset len(text)
-        offsets = [m.start() for m in _TOKEN.finditer(self._text)] + [len(self._text)]
-        return error(offsets[self._pos], expected, repr(token) if token else "end of input")
+        match = next(islice(_TOKEN.finditer(self._text), self._pos, None), None)  # stops there
+        offset = match.start() if match else len(self._text)
+        return error(offset, expected, repr(token) if token else "end of input")
 
     def _take(self, token: str, expected: str) -> None:
         if self._tokens[self._pos] != token:

@@ -21,6 +21,7 @@ from blamelogic.generate import (
     PROP_ROSTER,
     SWEEP_SHAPE,
     SplitMix64,
+    _SIZES,
     _draw,
     _first_play,
     _leaf_table,
@@ -257,6 +258,19 @@ class TestCorpus:
         assert {len(g.agents) for g in games} == {1, 2, 3, 4}
         assert all(len(g.plays) <= 16 for g in games)
         assert any(not g.plays for g in games)
+
+    def test_the_acceptance_corpus_spans_every_game_size(self):
+        games = corpus_games(ACCEPTANCE, 500)
+        fields = {"n_agents": "agents", "n_actions": "actions", "n_outcomes": "outcomes",
+                  "n_plays": "plays", "n_props": "valuation"}  # fmt: skip
+        assert fields.keys() == _SIZES.keys()
+        for name, field in fields.items():
+            counts = {len(getattr(g, field)) for g in games}
+            low, high = _SIZES[name]
+            if name == "n_plays":  # clamped to the profile x outcome pool: only the ends
+                assert (min(counts), max(counts)) == (low, high) == (0, 16)
+            else:
+                assert counts == set(range(low, high + 1)), name
 
     def test_agent_a_always_present(self):
         # rosters are prefixes, so singleton games still speak about "a"

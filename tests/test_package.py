@@ -1,5 +1,6 @@
-"""The package's public names, and which modules each command loads."""
+"""The package's public names, which modules each command loads, and what they import."""
 
+import ast
 import json
 import os
 import subprocess
@@ -140,3 +141,20 @@ def test_fmt_loads_no_json():
         "print(json.dumps([code, loaded]))"
     )
     assert loaded == [0, False]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # The project runs no linter, so this is its one check for an import left behind.
+    unread = []
+    for path in sorted(Path(blamelogic.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.stem}: {name}" for name in sorted(bound - read)]
+    assert not unread, f"imported and never read: {unread}"
