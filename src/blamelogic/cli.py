@@ -185,7 +185,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    import gc
+    gc.freeze()  # the exit-time collections skip what the OS is about to reclaim
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 import ast
+import gc
 import importlib.metadata
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -15,6 +17,7 @@ from blamelogic.generate import SWEEP_SHAPE, GenParams, soundness_sweep
 from blamelogic.proofs import BUNDLED_NAMES, bundled_script, dump_proof
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 CONSOLE_SCRIPT = "blamelogic.cli:run"
 
 
@@ -372,6 +375,77 @@ def test_module_runs_as_script():
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "p\n", "")
+
+
+def subcommand_argvs(game):
+    """One argv for each subcommand, and one usage error."""
+    return [
+        ["check", "--game", str(game), "--play", "2", "--formula", "B{lopez} dead"],
+        ["valid", "--game", str(game), "--formula", "dead"],
+        ["blame", "--game", str(game), "--play", "2", "--formula", "dead"],
+        ["proof", "--bundled", "lemma1"],
+        ["fuzz", "--seed", "1", "--games", "2", "--instances", "2"],
+        ["fmt", "--formula", "((p))"],
+        ["check", "--game", str(game)],
+    ]
+
+
+# Runs run() as the console script does, after taking the path of a file for
+# an atexit hook from the first argument.  The hook runs once run() has called
+# sys.exit, before the interpreter's last collections, and writes whether run
+# froze the collector.
+RUN_WITH_HOOK = (
+    "import atexit, gc, pathlib, sys\n"
+    "flag = pathlib.Path(sys.argv.pop(1))\n"
+    "atexit.register(lambda: flag.write_text(str(gc.get_freeze_count() > 0)))\n"
+    "from blamelogic.cli import run\n"
+    "run()\n"
+)
+
+
+def test_run_in_a_child_gives_what_main_gives(capsys, lopez_file, tmp_path):
+    # 10 agents who all play x or all play y, with p at the first play:
+    # every one of the 1,023 coalitions is blamable, and the report is far
+    # bigger than a pipe buffer, so all of it must be flushed after the freeze.
+    agents = [f"a{i}" for i in range(10)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "agents": agents, "actions": ["x", "y"], "outcomes": ["o"],
+        "plays": [{"profile": dict.fromkeys(agents, v), "outcome": "o"} for v in "xy"],
+        "valuation": {"p": [0]},
+    }))
+    big_blame = ["blame", "--game", str(big), "--play", "0", "--formula", "p"]
+    src = str(Path(blamelogic.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for i, argv in enumerate([*subcommand_argvs(lopez_file), big_blame]):
+        flag = tmp_path / f"frozen{i}"
+        child = subprocess.run(
+            [sys.executable, "-c", RUN_WITH_HOOK, str(flag), *argv],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=60,
+        )
+        code, out, err = run(capsys, *argv)
+        in_process = (code, out.encode(), err.encode())
+        assert (child.returncode, child.stdout, child.stderr) == in_process, argv
+        assert flag.read_text() == "True", argv
+    assert code == 0 and len(out) > 200_000 and out.count('"coalition"') == 1023
+
+
+def test_main_leaves_the_collector_alone(capsys, lopez_file):
+    # Only run() freezes: an in-process caller of main keeps a normal collector.
+    for argv in subcommand_argvs(lopez_file):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        main(argv)
+        capsys.readouterr()
+        assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
+
+
+@pytest.mark.skipif(not README.is_file(), reason="no README.md beside tests/")
+def test_readme_blame_transcript_is_what_blame_prints(capsys, lopez_file):
+    blocks = README.read_text().split("```")[1::2]
+    [block] = [b for b in blocks if b.startswith("\n$ blamelogic blame ")]
+    command, printed = block[1:].split("\n", 1)
+    argv = [str(lopez_file) if a == "lopez.json" else a for a in shlex.split(command)[2:]]
+    assert run(capsys, *argv) == (0, printed, "")
 
 
 class TestHarnessGlue:

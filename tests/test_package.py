@@ -158,3 +158,35 @@ def test_no_module_imports_a_name_it_never_reads():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unread += [f"{path.stem}: {name}" for name in sorted(bound - read)]
     assert not unread, f"imported and never read: {unread}"
+
+
+def test_no_output_or_cleanup_waits_on_a_finalizer():
+    # cli.run() freezes the collector before it exits, so the collections at
+    # shutdown skip whatever is still alive.  Nothing may depend on them: every
+    # open() is the context expression of a with item, and no class has __del__.
+    opened, unmanaged, finalizers = set(), [], []
+    for path in sorted(Path(blamelogic.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        managed = {
+            id(item.context_expr)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.With, ast.AsyncWith))
+            for item in node.items
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "open" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                opened.add(path.stem)
+                if id(node) not in managed:
+                    unmanaged.append(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, ast.ClassDef):
+                finalizers += [
+                    f"{path.stem}.{node.name}"
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name == "__del__"
+                ]
+    assert opened >= {"cli", "proofs"}
+    assert not unmanaged, f"open() outside a with item: {unmanaged}"
+    assert not finalizers, f"classes with __del__: {finalizers}"
