@@ -45,7 +45,10 @@ def is_ident(name: object) -> bool:
 
 def check_ident(name: str, role: str) -> str:
     if not isinstance(name, str) or not _IDENT.match(name):
-        raise ValueError(f"invalid {role} {name!r}: must start with a lowercase letter")
+        rule = "start with a lowercase letter"
+        if isinstance(name, str) and "a" <= name[:1] <= "z":
+            rule = "be a lowercase letter followed by letters, digits or _"
+        raise ValueError(f"invalid {role} {name!r}: must {rule}")
     if name in _RESERVED:
         raise ValueError(f"invalid {role} {name!r}: reserved word")
     return name
@@ -101,9 +104,9 @@ class _Record(_Value):
         # attrgetter reads the slots at C level; of one name it gives the bare value.
         get = attrgetter(*names)
         cls._key = property(get if len(names) > 1 else lambda self: (get(self),))
-        # Written out, as dataclasses does, to cost one call per field and no loop.
-        body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
-        scope = {"_set": object.__setattr__}
+        # Written out, as dataclasses does: one call of the slot's own setter a field.
+        body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+        scope = {f"_set_{n}": vars(cls)[n].__set__ for n in names}
         exec(f"def __init__(self, {', '.join(names)}):{body}", scope)
         fill = cls._fill = scope["__init__"]
         fill.__defaults__, fill.__qualname__ = cls._defaults, f"{cls.__qualname__}.__init__"
@@ -119,14 +122,13 @@ class Coalition(_Record):
     def __init__(self, members: Iterable[str] = ()) -> None:
         if isinstance(members, str):  # iterating "ab" would give the agents a and b
             raise ValueError(f"a coalition takes a collection of agent ids, not {members!r}")
-        canon = tuple(sorted({check_ident(a, "agent id") for a in members}))
-        object.__setattr__(self, "members", canon)
+        _set_members(self, tuple(sorted({check_ident(a, "agent id") for a in members})))
 
     @classmethod
     def _canonical(cls, members: tuple[str, ...]) -> "Coalition":
         """Wrap members that are already sorted, deduplicated and checked."""
         c = object.__new__(cls)
-        object.__setattr__(c, "members", members)
+        _set_members(c, members)
         return c
 
     def __iter__(self):
@@ -149,6 +151,9 @@ class Coalition(_Record):
 
     def __str__(self) -> str:
         return "{" + ",".join(self.members) + "}"
+
+
+_set_members = vars(Coalition)["members"].__set__
 
 
 class Formula(_Value):

@@ -83,9 +83,12 @@ class Strategy(_Record):
     def _canonical(cls, coalition: Coalition, choice: dict[str, str]) -> "Strategy":
         """Wrap a fresh choice whose domain is already exactly the coalition."""
         s = object.__new__(cls)
-        object.__setattr__(s, "coalition", coalition)
-        object.__setattr__(s, "choice", choice)
+        _set_coalition(s, coalition)
+        _set_choice(s, choice)
         return s
+
+
+_set_coalition, _set_choice = (vars(Strategy)[name].__set__ for name in Strategy.__slots__)
 
 
 def _ordered(items: Iterable) -> list:

@@ -22,9 +22,11 @@ byte offsets.
 
 ``parse`` lexes with one ``findall`` and climbs precedence in one loop:
 ``binary(level)`` reads a unary operand, then each binary operator of that
-level or tighter.  An error re-reads the text with the same regex to find its offset.
-Every node comes from one table, so equal subformulas of a text are one
-object; ``_parse`` lets a caller share that table across several texts.
+level or tighter.  The lexical check runs only when a parse fails: a
+character that starts no token is never consumed, so the first is found then
+and reported in place of the grammar error.  Every node comes from one
+table, so equal subformulas of a text are one object; ``_parse`` lets a
+caller share that table across texts, and it keys each whole text parsed.
 """
 
 from __future__ import annotations
@@ -68,16 +70,17 @@ _BINARY = (("<->", Iff, None), ("->", Implies, "right"), ("|", Or, "left"), ("&"
 _UNARY = len(_BINARY)
 _LEVELS = {node: (level, f" {op} ", grouping) for level, (op, node, grouping) in enumerate(_BINARY)}
 _INFIX = {op: (level, node, grouping) for level, (op, node, grouping) in enumerate(_BINARY)}
-# Each prefix operator wraps its operand in these node types ("<N>" is "!N !").
-_PREFIX = {"!": (Not,), "N": (Necessity,), "<N>": (Not, Necessity, Not)}
+# Each prefix head wraps its operand in these node types ("<N>" is "!N !"); B reads a coalition.
+_PREFIX = {"!": (Not,), "N": (Necessity,), "<N>": (Not, Necessity, Not), "B": ()}
 _CONSTANTS = {"true": Top, "false": Bottom}
 _KEYWORDS = {node: word for word, node in _CONSTANTS.items()}
 _HEADS = {Not: "!", Necessity: "N ", Blame: None}  # a Blame node's head names its coalition
 
-# A symbol, an identifier or keyword, or a character that starts no token
-# (a lone "-" or "<" gets a hint at what was meant).  Nothing backtracks.
-_TOKEN = re.compile(r"<->|->|<N>|[(){},!&|NB]|[a-z][A-Za-z0-9_]*|\S")
-_SYMBOLS = frozenset(("<->", "->", "<N>", *"(){},!&|NB"))
+# A symbol, an identifier or keyword, a character that starts no token (a
+# lone "-" or "<" gets a hint at what was meant), or "" at the end of the
+# text, which ends the token list.  Nothing backtracks.
+_TOKEN = re.compile(r"<->|->|<N>|[(){},!&|NB]|[a-z][A-Za-z0-9_]*|\S|\Z")
+_SYMBOLS = frozenset(("<->", "->", "<N>", *"(){},!&|NB", ""))
 _LEX_EXPECTED = {"-": "'->'", "<": "'<->' or '<N>'"}
 
 # Parentheses nest at most this deep (two stack frames a level), or "formula nested too deeply".
@@ -89,23 +92,22 @@ class _NestingError(ParseError):
         return "formula nested too deeply"
 
 
-def _is_token(token: str) -> bool:
-    return token in _SYMBOLS or "a" <= token[0] <= "z"
-
-
 class _Parser:
     def __init__(self, text: str, tokens: list[str], nodes: dict) -> None:
-        self._text = text
-        self._tokens = tokens
+        # The table: atoms by name, coalitions by raw members, parsed texts by text, and
+        # other nodes by (type, id(child), ...), valid since the table holds every child.
+        self._text, self._tokens, self._nodes = text, tokens, nodes
         self._pos = self._depth = 0
-        # Atoms by name, coalitions by raw member tuple, and other nodes by
-        # (type, id(child), ...): the table holds the children, so ids stay valid.
-        self._nodes = nodes
 
     def _fail(self, expected: str, error: type[ParseError] = ParseError) -> ParseError:
-        token = self._tokens[self._pos]  # "" is end of input, at offset len(text)
-        match = next(islice(_TOKEN.finditer(self._text), self._pos, None), None)  # stops there
-        offset = match.start() if match else len(self._text)
+        # The first character that starts no token, if any, wins over `expected`.
+        tokens = self._tokens
+        starts = (t in _SYMBOLS or "a" <= t[:1] <= "z" for t in tokens)
+        bad = next((i for i, ok in enumerate(starts) if not ok), None)
+        if bad is not None:
+            self._pos, expected, error = bad, _LEX_EXPECTED.get(tokens[bad], "a token"), ParseError
+        token = tokens[self._pos]
+        offset = next(islice(_TOKEN.finditer(self._text), self._pos, None)).start()  # stops there
         return error(offset, expected, repr(token) if token else "end of input")
 
     def _take(self, token: str, expected: str) -> None:
@@ -115,13 +117,14 @@ class _Parser:
 
     def _ident(self, expected: str) -> str:
         token = self._tokens[self._pos]
-        if not token[:1].islower() or token in _CONSTANTS:
+        if not "a" <= token[:1] <= "z" or token in _CONSTANTS:
             raise self._fail(expected)
         self._pos += 1
         return token
 
     def binary(self, level: int) -> Formula:
         """A unary operand, then every binary operator of level >= `level`."""
+        nodes = self._nodes
         left = self.unary()
         while True:
             infix = _INFIX.get(self._tokens[self._pos])
@@ -131,54 +134,60 @@ class _Parser:
             op_level, node, grouping = infix
             right_level = op_level if grouping == "right" else op_level + 1
             right = self.binary(right_level) if right_level < _UNARY else self.unary()
-            left = self._node((node, id(left), id(right)), node, left, right)
+            key = node, id(left), id(right)
+            left = nodes.get(key) or nodes.setdefault(key, node(left, right))  # a node is truthy
             if grouping is None:
                 return left
 
-    def _node(self, key: tuple, node: type, *fields: object):
-        """The table's entry for `key`, built from `fields` the first time."""
-        made = self._nodes.get(key)
-        if made is None:
-            made = self._nodes[key] = node(*fields)
-        return made
+    def _coalition(self) -> Coalition:
+        """The table's coalition for the "{" idlist? "}" after a B."""
+        self._take("{", "'{'")
+        members: list[str] = []
+        if self._tokens[self._pos] != "}":
+            members.append(self._ident("'}'"))
+            while self._tokens[self._pos] == ",":
+                self._pos += 1
+                members.append(self._ident("an agent id"))
+        self._take("}", "'}'")
+        key = tuple(members)  # B{}'s coalition is falsy: setdefault keeps the first
+        return self._nodes.get(key) or self._nodes.setdefault(key, Coalition(members))
 
     def unary(self) -> Formula:
-        token = self._tokens[self._pos]
+        """A run of prefix heads, read in a loop (no run is too long), then their operand."""
+        tokens, nodes = self._tokens, self._nodes
+        token = tokens[self._pos]
         self._pos += 1
-        node = self._nodes.get(token)
-        if node is not None:
+        node = nodes.get(token)
+        if node is not None:  # an atom the table has seen
             return node
-        if token in _PREFIX:
-            child = self.unary()
-            for node in _PREFIX[token]:  # innermost first
-                child = self._node((node, id(child)), node, child)
-            return child
-        if token == "(":
+        heads = []
+        while token in _PREFIX:  # a head: its node types, or B's coalition
+            heads.append(_PREFIX[token] or self._coalition())
+            token = tokens[self._pos]
+            self._pos += 1
+        node = nodes.get(token)
+        if node is None and "a" <= token[:1] <= "z":  # an identifier or keyword, once a table
+            node = nodes[token] = _CONSTANTS[token]() if token in _CONSTANTS else Prop(token)
+        elif token == "(":
             if self._depth == _MAX_NESTING:
                 self._pos -= 1
                 raise self._fail(f"at most {_MAX_NESTING} nested parentheses", _NestingError)
             self._depth += 1
-            inner = self.binary(0)
+            node = self.binary(0)
             self._take(")", "')'")
             self._depth -= 1
-            return inner
-        if token == "B":
-            self._take("{", "'{'")
-            members: list[str] = []
-            if self._tokens[self._pos] != "}":
-                members.append(self._ident("'}'"))
-                while self._tokens[self._pos] == ",":
-                    self._pos += 1
-                    members.append(self._ident("an agent id"))
-            self._take("}", "'}'")
-            coalition = self._node(tuple(members), Coalition, members)
-            child = self.unary()
-            return self._node((Blame, coalition.members, id(child)), Blame, coalition, child)
-        if token[:1].islower():  # an identifier or keyword, built once per table
-            node = self._nodes[token] = _CONSTANTS[token]() if token in _CONSTANTS else Prop(token)
-            return node
-        self._pos -= 1
-        raise self._fail("a formula")
+        elif node is None:
+            self._pos -= 1
+            raise self._fail("a formula")
+        for head in reversed(heads):  # innermost first
+            if head.__class__ is Coalition:
+                key = Blame, head.members, id(node)
+                node = nodes.get(key) or nodes.setdefault(key, Blame(head, node))
+            else:
+                for kind in head:
+                    key = kind, id(node)
+                    node = nodes.get(key) or nodes.setdefault(key, kind(node))
+        return node
 
 
 def parse(text: str) -> Formula:
@@ -186,16 +195,19 @@ def parse(text: str) -> Formula:
 
 
 def _parse(text: str, nodes: dict) -> Formula:
-    """``parse`` with the node table `nodes`, which may be shared with other calls."""
+    """``parse`` with a node table shared with other calls: a repeated text is one node."""
+    if nodes and (made := nodes.get(text)) is not None:  # if fresh, findall rejects a non-str
+        return made
     tokens = _TOKEN.findall(text)
     parser = _Parser(text, tokens, nodes)
-    if not all(map(_is_token, set(tokens))):  # report the first character that starts no token
-        parser._pos = next(i for i, token in enumerate(tokens) if not _is_token(token))
-        raise parser._fail(_LEX_EXPECTED.get(tokens[parser._pos], "a token"))
-    tokens.append("")
-    result = parser.binary(0)
+    try:
+        result = parser.binary(0)
+    except RecursionError as e:  # a character that starts no token still comes first
+        error = parser._fail("")  # its `expected` is "" unless it reports one
+        raise error if error.expected else e
     if tokens[parser._pos]:
         raise parser._fail("end of input")
+    nodes[text] = result
     return result
 
 

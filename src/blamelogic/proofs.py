@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 MAX_TAUTOLOGY_ATOMS = 20
+_SCRIPT_KEYS = frozenset(("hypotheses", "claim", "lines"))  # the keys a script may have
+_LINE_KEYS = frozenset(("formula", "just"))
+_JUST_KEYS = frozenset(("kind", "from", "name", "subst"))
 
 
 class InstantiationError(ValueError):
@@ -294,76 +297,73 @@ class ProofFormatError(ValueError):
     """The document is not shaped like a proof script."""
 
 
-def _parse_formula(text: object, where: str, nodes: dict) -> Formula:
+def _parse_formula(text: object, nodes: dict, *where: object) -> Formula:
     if not isinstance(text, str):
-        raise ProofFormatError(f"{where}: formula must be a string")
+        raise ProofFormatError(f"{' '.join(map(str, where))}: formula must be a string")
     try:
         return _parse(text, nodes)
     except ParseError as e:
-        raise ProofFormatError(f"{where}: {e}") from e
-
-
-def _reject_unknown_keys(obj: dict, known: set[str], where: str) -> None:
-    unknown = set(obj) - known
-    if unknown:
-        raise ProofFormatError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ProofFormatError(f"{' '.join(map(str, where))}: {e}") from e
 
 
 def load_proof(document: bytes | str) -> Proof:
     """Parse a proof script; formulas use the concrete grammar, lines are 1-based.
-    They share one parser table, so equal subformulas of the script are one object."""
+    They share one parser table, so equal subformulas and texts are one object."""
     doc = _read_json(document, ProofFormatError)
-    if not isinstance(doc, dict) or not {"hypotheses", "claim", "lines"} <= set(doc):
+    if not isinstance(doc, dict) or not _SCRIPT_KEYS <= doc.keys():
         raise ProofFormatError("script must have hypotheses, claim, and lines")
-    _reject_unknown_keys(doc, {"hypotheses", "claim", "lines"}, "script")
+    if not doc.keys() <= _SCRIPT_KEYS:
+        raise ProofFormatError(f"script: unknown keys {sorted(doc.keys() - _SCRIPT_KEYS)}")
     raw_hyps = doc["hypotheses"]
     if not isinstance(raw_hyps, list):
         raise ProofFormatError("hypotheses must be a list")
     nodes: dict = {}
     hypotheses = tuple(
-        _parse_formula(h, f"hypothesis {i + 1}", nodes) for i, h in enumerate(raw_hyps)
+        _parse_formula(h, nodes, "hypothesis", i) for i, h in enumerate(raw_hyps, start=1)
     )
-    claim = _parse_formula(doc["claim"], "claim", nodes)
+    claim = _parse_formula(doc["claim"], nodes, "claim")
     raw_lines = doc["lines"]
     if not isinstance(raw_lines, list):
         raise ProofFormatError("lines must be a list")
     lines = []
-    for i, entry in enumerate(raw_lines):
-        where = f"line {i + 1}"
-        if not isinstance(entry, dict) or "formula" not in entry or "just" not in entry:
-            raise ProofFormatError(f"{where}: must have formula and just")
-        _reject_unknown_keys(entry, {"formula", "just"}, where)
-        formula = _parse_formula(entry["formula"], where, nodes)
+    for i, entry in enumerate(raw_lines, start=1):
+        if not isinstance(entry, dict) or not _LINE_KEYS <= entry.keys():
+            raise ProofFormatError(f"line {i}: must have formula and just")
+        if not entry.keys() <= _LINE_KEYS:
+            raise ProofFormatError(f"line {i}: unknown keys {sorted(entry.keys() - _LINE_KEYS)}")
+        formula = _parse_formula(entry["formula"], nodes, "line", i)
         raw_just = entry["just"]
         if not isinstance(raw_just, dict) or not isinstance(raw_just.get("kind"), str):
-            raise ProofFormatError(f"{where}: just must be an object with a string kind")
-        _reject_unknown_keys(raw_just, {"kind", "from", "name", "subst"}, f"{where} just")
+            raise ProofFormatError(f"line {i}: just must be an object with a string kind")
+        if not raw_just.keys() <= _JUST_KEYS:
+            unknown = sorted(raw_just.keys() - _JUST_KEYS)
+            raise ProofFormatError(f"line {i} just: unknown keys {unknown}")
         if "name" in raw_just and not isinstance(raw_just["name"], str):
-            raise ProofFormatError(f"{where}: just name must be a string")
+            raise ProofFormatError(f"line {i}: just name must be a string")
         kind = raw_just["kind"]
         refs = raw_just.get("from", [])
         if not isinstance(refs, list) or not all(
             isinstance(r, int) and not isinstance(r, bool) for r in refs
         ):
-            raise ProofFormatError(f"{where}: 'from' must be a list of line numbers")
+            raise ProofFormatError(f"line {i}: 'from' must be a list of line numbers")
         subst = None
         if "subst" in raw_just:
             raw_subst = raw_just["subst"]
             if not isinstance(raw_subst, dict):
-                raise ProofFormatError(f"{where}: subst must be an object")
+                raise ProofFormatError(f"line {i}: subst must be an object")
             subst = {}
             for var, value in raw_subst.items():
                 if var in ("phi", "psi"):
-                    subst[var] = _parse_formula(value, f"{where} subst {var}", nodes)
+                    subst[var] = _parse_formula(value, nodes, "line", i, "subst", var)
                 elif var in ("C", "D"):
                     if not isinstance(value, list) or not all(isinstance(a, str) for a in value):
-                        raise ProofFormatError(f"{where}: subst {var} must be a list of agent ids")
+                        raise ProofFormatError(f"line {i}: subst {var} must be a list of agent ids")
                     try:
                         subst[var] = Coalition(value)
                     except ValueError as e:
-                        raise ProofFormatError(f"{where}: subst {var}: {e}") from None
+                        raise ProofFormatError(f"line {i}: subst {var}: {e}") from None
                 else:
-                    raise ProofFormatError(f"{where}: unknown subst key {var!r}")
+                    raise ProofFormatError(f"line {i}: unknown subst key {var!r}")
         lines.append(
             ProofLine(formula, Justification(kind, tuple(refs), raw_just.get("name"), subst))
         )

@@ -13,9 +13,10 @@ the full bounds and exits 1 on any difference:
 
     PYTHONPATH=src python3 tests/smallscope.py
 
-that is, both printer properties over every formula of at most 6 nodes, and
-one evaluator per game against ``oracle`` (the recursion of ``satisfies``) over
-every formula of at most 4 nodes on all 256 games.
+that is, both printer properties over every formula of at most 6 nodes, the
+lexical errors over every formula of at most 5 nodes, and one evaluator per game
+against ``oracle`` (the recursion of ``satisfies``) over every formula of at most
+4 nodes on all 256 games.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from blamelogic import (
     parse,
 )
 from blamelogic.checker import StrategySpaceError, _Evaluator, _sat
+from blamelogic.parser import _LEX_EXPECTED, _TOKEN
 
 LEAVES = (Prop("p"), Prop("q"), Top(), Bottom())
 UNARY = (
@@ -121,6 +123,31 @@ def printer_faults(fs) -> list[tuple[str, str]]:
     return faults
 
 
+# Characters that start no token: one that starts no symbol, one outside
+# ASCII, and the two that start a longer symbol.
+NO_TOKEN = ("$", "\u00e9", "-", "<")
+
+
+def lexical_faults(fs) -> list[tuple[str, object]]:
+    """(text, outcome) for each text that does not fail as the lexical rule says: the
+    printed text of a formula with " c " inserted at one token start, for each c in
+    NO_TOKEN, must fail at c with ``_LEX_EXPECTED``'s expectation (else "a token"),
+    whatever grammar error the rest of the text holds."""
+    faults = []
+    for f in fs:
+        text = format_formula(f)
+        for start in [m.start() for m in _TOKEN.finditer(text) if m.group()]:
+            for c in NO_TOKEN:
+                bad = f"{text[:start]} {c} {text[start:]}"
+                try:
+                    got: object = format_formula(parse(bad))
+                except ParseError as e:
+                    got = (e.position, e.expected, e.found)
+                if got != (start + 1, _LEX_EXPECTED.get(c, "a token"), repr(c)):
+                    faults.append((bad, got))
+    return faults
+
+
 _ATOMS = (Prop, Necessity, Blame)
 
 
@@ -189,6 +216,11 @@ def main() -> int:
     faults = printer_faults(fs)
     print(f"printer, {len(fs):,} formulas of at most 6 nodes: {len(faults)} faults"
           f" ({time.perf_counter() - t0:.1f} s)")  # fmt: skip
+    t0, fs = time.perf_counter(), upto(5)
+    lexical = lexical_faults(fs)
+    print(f"lexical errors, {len(fs):,} formulas of at most 5 nodes: {len(lexical)} faults"
+          f" ({time.perf_counter() - t0:.1f} s)")  # fmt: skip
+    faults += lexical
     t0, gs, fs = time.perf_counter(), games(), upto(4)
     differ = evaluator_faults(gs, fs)
     print(f"evaluator against satisfies, {len(fs):,} formulas of at most 4 nodes on {len(gs)}"

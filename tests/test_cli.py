@@ -322,6 +322,19 @@ def test_long_chain_that_overflows_the_printer_is_an_input_error(capsys):
     assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
 
 
+def test_a_long_run_of_prefixes_that_overflows_the_printer_or_the_fold_is_an_input_error(
+    capsys, lopez_file
+):
+    # The parser reads the 2,000 heads in a loop; printing and folding them recurse.
+    deep = "!" * 2000 + "dead"
+    for argv in (
+        ["fmt", "--formula", deep],
+        ["check", "--game", str(lopez_file), "--play", "0", "--formula", deep],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+
+
 def test_deep_proof_line_is_an_input_error(capsys, tmp_path):
     deep = "(" * 200 + "p" + ")" * 200
     path = tmp_path / "deep.json"

@@ -85,6 +85,24 @@ class TestIdentifiers:
         with pytest.raises(ValueError, match="reserved word"):
             check_ident("true", "proposition")
 
+    def test_a_name_that_starts_well_is_told_the_whole_rule(self):
+        # A name whose first character is fine hears the rule for the rest;
+        # 'Bob' and '1a' keep "must start with a lowercase letter".
+        rule = "must be a lowercase letter followed by letters, digits or _"
+        with pytest.raises(ValueError) as caught:
+            Coalition(["a-b"])
+        assert str(caught.value) == f"invalid agent id 'a-b': {rule}"
+        with pytest.raises(ValueError, match="'1a': must start with a lowercase letter$"):
+            check_ident("1a", "agent id")
+
+    def test_a_proposition_with_a_non_ascii_letter_is_told_the_whole_rule(self):
+        with pytest.raises(ValueError) as caught:
+            Prop("q\u00e9")
+        rule = "must be a lowercase letter followed by letters, digits or _"
+        assert str(caught.value) == f"invalid proposition 'q\u00e9': {rule}"
+        with pytest.raises(ValueError, match="'\u00e9q': must start with a lowercase letter$"):
+            Prop("\u00e9q")
+
 
 class TestCoalition:
     def test_canonical_order_and_dedup(self):

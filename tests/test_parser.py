@@ -351,3 +351,52 @@ def test_a_shared_dag_pickles_and_prints_as_before():
 
     built = Implies(And(blame(), blame()), Or(possibly(blame()), possibly(blame())))
     assert f == built and hash(f) == hash(built) and repr(f) == repr(built)
+
+
+@pytest.mark.parametrize("text,position", [("B{é} p", 2), ("B{a,é} p", 4)])
+def test_a_non_ascii_agent_id_is_a_lexical_error(text, position):
+    # é is lowercase to str.islower(), but starts no token: it is reported as one.
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.position, exc.value.expected, exc.value.found) == (position, "a token", "'é'")
+
+
+def test_the_lexical_rule_on_every_small_formula():
+    # Every printed formula of at most 4 nodes, with " c " put at each token start for
+    # each c that starts no token, fails at c, whatever else fails in the text.
+    from smallscope import lexical_faults, upto
+
+    formulas = upto(4)
+    assert len(formulas) == 1_648
+    assert lexical_faults(formulas) == []
+
+
+def test_a_run_of_prefix_heads_is_read_in_a_loop():
+    # 2,000 heads parse in the test's own frames, far past the recursion limit.
+    f = parse("!" * 2000 + "p")
+    for _ in range(2000):
+        assert type(f) is Not
+        f = f.child
+    assert f == p
+    heads = [("!", Not), ("N ", Necessity), ("B{b,a} ", None), ("<N> ", possibly)] * 500
+    f = parse("".join(head for head, _ in heads) + "p")
+    for head, kind in heads:
+        if kind is possibly:
+            assert (type(f), type(f.child), type(f.child.child)) == (Not, Necessity, Not)
+            f = f.child.child.child
+        elif kind is None:
+            assert type(f) is Blame and f.coalition.members == ("a", "b")
+            f = f.child
+        else:
+            assert type(f) is kind
+            f = f.child
+    assert f == p
+    assert parse("!" * 3 + "N (p & q)") == Not(Not(Not(Necessity(And(p, q)))))
+
+
+def test_a_bad_character_comes_before_a_recursion_error():
+    # The right-hand side of "->" is still read by recursion; past its limit a
+    # character that starts no token is reported, as it was when lexing came first.
+    with pytest.raises(ParseError) as exc:
+        parse("p -> " * 5000 + "p $")
+    assert (exc.value.position, exc.value.expected, exc.value.found) == (25_002, "a token", "'$'")

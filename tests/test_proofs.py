@@ -16,6 +16,7 @@ from blamelogic import (
     Necessity,
     Not,
     Or,
+    ParseError,
     Prop,
     ProofFailure,
     check_proof,
@@ -24,6 +25,7 @@ from blamelogic import (
     is_tautology,
     parse,
 )
+from blamelogic.parser import _parse
 from blamelogic.proofs import (
     BUNDLED_NAMES,
     MAX_TAUTOLOGY_ATOMS,
@@ -510,6 +512,15 @@ class TestScriptFormat:
             load_proof(json.dumps(script))
         assert str(caught.value).startswith(message)
 
+    def test_a_subst_agent_id_with_a_bad_later_character_is_told_the_whole_rule(self):
+        line = {"formula": "p", "just": {"kind": "axiom", "subst": {"C": ["a b"]}}}
+        with pytest.raises(ProofFormatError) as caught:
+            load_proof(json.dumps({"hypotheses": [], "claim": "p", "lines": [line]}))
+        assert str(caught.value) == (
+            "line 1: subst C: invalid agent id 'a b': must be a lowercase letter"
+            " followed by letters, digits or _"
+        )
+
     def test_non_utf8_is_a_format_error(self):
         with pytest.raises(ProofFormatError, match="^not UTF-8: "):
             load_proof(b"\xff\xfe")
@@ -528,3 +539,48 @@ class TestScriptFormat:
         blob = dump_proof(bundled_script("lemma1"))
         assert blob == dump_proof(bundled_script("lemma1"))
         assert blob.endswith(b"\n")
+
+
+class TestSharedTexts:
+    def test_one_text_as_hypothesis_line_and_claim_is_one_object(self):
+        text = "B{a} (p -> q) & !N p"
+        line = {"formula": text, "just": {"kind": "hyp", "from": [1]}}
+        proof = load_proof(json.dumps({"hypotheses": [text], "claim": text, "lines": [line]}))
+        assert proof.hypotheses[0] is proof.lines[0].formula is proof.claim
+        assert proof.claim == parse(text) and check_proof(proof) is None
+
+    def test_a_text_that_fails_fails_again_with_the_same_message(self):
+        nodes: dict = {}
+        _parse("p & q", nodes)
+        for text in ("p & q $", "p & (q", "B{a,} p", "p &"):
+            messages = set()
+            for _ in range(2):
+                with pytest.raises(ParseError) as caught:
+                    _parse(text, nodes)
+                messages.add(str(caught.value))
+            assert len(messages) == 1 and text not in nodes
+        with pytest.raises(ParseError, match="^at offset 6: expected a token, found '\\$'$"):
+            _parse("p & q $", nodes)
+        line = {"formula": "p $", "just": {"kind": "taut"}}
+        script = json.dumps({"hypotheses": ["p $"], "claim": "p", "lines": [line]})
+        for _ in range(2):
+            with pytest.raises(ProofFormatError, match="^hypothesis 1: at offset 2: expected"):
+                load_proof(script)
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_one_table_parses_each_text_as_a_fresh_table_does(self, name):
+        path = Path(blamelogic.proofs.__file__).parent / "data" / "proofs" / f"{name}.json"
+        doc = json.loads(path.read_bytes())
+        texts = [*doc["hypotheses"], doc["claim"]]
+        for line in doc["lines"]:
+            texts.append(line["formula"])
+            subst = line["just"].get("subst", {})
+            texts += [subst[var] for var in ("phi", "psi") if var in subst]
+        shared: dict = {}
+        by_text = {}
+        for text in texts:
+            f = _parse(text, shared)
+            fresh = _parse(text, {})
+            assert f == fresh and repr(f) == repr(fresh) and format_formula(f) == format_formula(fresh)
+            assert by_text.setdefault(text, f) is f  # a repeated text gives back its node
+        assert len(by_text) < len(texts)
