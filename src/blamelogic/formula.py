@@ -91,8 +91,10 @@ class _Value:
 class _Record(_Value):
     """Base of the package's records: one slot per field, frozen.
 
-    The fields are the ``__slots__``.  ``_fill`` sets them in order and is
-    the ``__init__`` of a record without one, ``_defaults`` last.
+    The fields are the ``__slots__``.  One generated function sets them in order,
+    ``_defaults`` last.  It is a record's ``__init__``, or, for a record that checks
+    its fields in its own ``__new__``, the classmethod ``_canonical`` that ``__new__``
+    and trusted callers build through.
     """
 
     __slots__ = ()
@@ -105,31 +107,28 @@ class _Record(_Value):
         get = attrgetter(*names)
         cls._key = property(get if len(names) > 1 else lambda self: (get(self),))
         # Written out, as dataclasses does: one call of the slot's own setter a field.
+        checked = "__new__" in vars(cls)
+        name, first = ("_canonical", "cls") if checked else ("__init__", "self")
         body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+        if checked:
+            body = f"\n    self = object.__new__(cls){body}\n    return self"
         scope = {f"_set_{n}": vars(cls)[n].__set__ for n in names}
-        exec(f"def __init__(self, {', '.join(names)}):{body}", scope)
-        fill = cls._fill = scope["__init__"]
-        fill.__defaults__, fill.__qualname__ = cls._defaults, f"{cls.__qualname__}.__init__"
-        if "__init__" not in vars(cls):
-            cls.__init__ = cls._fill
+        exec(f"def {name}({first}, {', '.join(names)}):{body}", scope)
+        fill = scope[name]
+        fill.__defaults__, fill.__qualname__ = cls._defaults, f"{cls.__qualname__}.{name}"
+        setattr(cls, name, classmethod(fill) if checked else fill)
 
 
 class Coalition(_Record):
-    """A set of agent ids in canonical form: sorted, deduplicated, possibly empty."""
+    """A set of agent ids in canonical form: sorted, deduplicated, possibly empty.
+    ``_canonical`` takes members already in that form and checked."""
 
     __slots__ = ("members",)
 
-    def __init__(self, members: Iterable[str] = ()) -> None:
+    def __new__(cls, members: Iterable[str] = ()) -> "Coalition":
         if isinstance(members, str):  # iterating "ab" would give the agents a and b
             raise ValueError(f"a coalition takes a collection of agent ids, not {members!r}")
-        _set_members(self, tuple(sorted({check_ident(a, "agent id") for a in members})))
-
-    @classmethod
-    def _canonical(cls, members: tuple[str, ...]) -> "Coalition":
-        """Wrap members that are already sorted, deduplicated and checked."""
-        c = object.__new__(cls)
-        _set_members(c, members)
-        return c
+        return cls._canonical(tuple(sorted({check_ident(a, "agent id") for a in members})))
 
     def __iter__(self):
         return iter(self.members)
@@ -151,9 +150,6 @@ class Coalition(_Record):
 
     def __str__(self) -> str:
         return "{" + ",".join(self.members) + "}"
-
-
-_set_members = vars(Coalition)["members"].__set__
 
 
 class Formula(_Value):

@@ -43,8 +43,8 @@ class GameValidationError(ValueError):
 class Play(_Record):
     __slots__ = ("profile", "outcome")
 
-    def __init__(self, profile: Mapping[str, str], outcome: str) -> None:
-        self._fill(dict(profile), outcome)
+    def __new__(cls, profile: Mapping[str, str], outcome: str) -> "Play":
+        return cls._canonical(dict(profile), outcome)
 
 
 class Game(_Record):
@@ -53,42 +53,33 @@ class Game(_Record):
 
     __slots__ = ("agents", "actions", "outcomes", "plays", "valuation")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         agents: tuple[str, ...],
         actions: tuple[str, ...],
         outcomes: tuple[str, ...],
         plays: tuple[Play, ...] = (),
         valuation: Mapping[str, frozenset[int]] = {},  # copied, never mutated
-    ) -> None:
+    ) -> "Game":
         valuation = {name: _index_set(ix) for name, ix in dict(valuation).items()}
-        self._fill(tuple(agents), tuple(actions), tuple(outcomes), tuple(plays), valuation)
-        if violations := _violations(self):
+        g = cls._canonical(tuple(agents), tuple(actions), tuple(outcomes), tuple(plays), valuation)
+        if violations := _violations(g):
             raise GameValidationError(violations)
+        return g
 
 
 class Strategy(_Record):
-    """An action choice for exactly the members of one coalition."""
+    """An action choice for exactly the members of one coalition.
+    ``_canonical`` wraps a fresh choice whose domain is already exactly the coalition."""
 
     __slots__ = ("coalition", "choice")
 
-    def __init__(self, coalition: Coalition | Iterable[str], choice: Mapping[str, str]) -> None:
+    def __new__(cls, coalition: Coalition | Iterable[str], choice: Mapping[str, str]) -> "Strategy":
         if not isinstance(coalition, Coalition):
             coalition = Coalition(coalition)
-        self._fill(coalition, dict(choice))
-        if set(self.choice) != set(coalition.members):
+        if set(choice := dict(choice)) != set(coalition.members):
             raise ValueError("strategy domain must equal the coalition")
-
-    @classmethod
-    def _canonical(cls, coalition: Coalition, choice: dict[str, str]) -> "Strategy":
-        """Wrap a fresh choice whose domain is already exactly the coalition."""
-        s = object.__new__(cls)
-        _set_coalition(s, coalition)
-        _set_choice(s, choice)
-        return s
-
-
-_set_coalition, _set_choice = (vars(Strategy)[name].__set__ for name in Strategy.__slots__)
+        return cls._canonical(coalition, choice)
 
 
 def _ordered(items: Iterable) -> list:

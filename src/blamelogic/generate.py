@@ -123,8 +123,8 @@ class GenParams(_Record):
         "seed", "n_agents", "n_actions", "n_outcomes", "n_plays", "n_props", "formula_depth"
     )
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         seed: int = 0,
         n_agents: int = 2,
         n_actions: int = 2,
@@ -132,14 +132,16 @@ class GenParams(_Record):
         n_plays: int = 6,
         n_props: int = 2,
         formula_depth: int = 4,
-    ) -> None:
-        self._fill(seed, n_agents, n_actions, n_outcomes, n_plays, n_props, formula_depth)
+    ) -> "GenParams":
+        fields = seed, n_agents, n_actions, n_outcomes, n_plays, n_props, formula_depth
+        params = cls._canonical(*fields)
         if type(seed) is not int or not 0 <= seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
         for name, (low, high) in (*_SIZES.items(), ("formula_depth", (0, 6))):
-            value = getattr(self, name)
+            value = getattr(params, name)
             if type(value) is not int or not low <= value <= high:
                 raise ValueError(f"{name} must be in [{low}, {high}]")
+        return params
 
 
 def random_game(params: GenParams) -> Game:

@@ -22,11 +22,13 @@ byte offsets.
 
 ``parse`` lexes with one ``findall`` and climbs precedence in one loop:
 ``binary(level)`` reads a unary operand, then each binary operator of that
-level or tighter.  The lexical check runs only when a parse fails: a
-character that starts no token is never consumed, so the first is found then
-and reported in place of the grammar error.  Every node comes from one
-table, so equal subformulas of a text are one object; ``_parse`` lets a
-caller share that table across texts, and it keys each whole text parsed.
+level or tighter; it reads a "->" chain's operands in that loop too and
+groups them from the right, so only parentheses deepen the recursion.  The
+lexical check runs only when a parse fails: a character that starts no token
+is never consumed, so the first is found then and reported in place of the
+grammar error.  Every node comes from one table, so equal subformulas of a
+text are one object; ``_parse`` lets a caller share that table across texts,
+and it keys each whole text parsed.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ _TOKEN = re.compile(r"<->|->|<N>|[(){},!&|NB]|[a-z][A-Za-z0-9_]*|\S|\Z")
 _SYMBOLS = frozenset(("<->", "->", "<N>", *"(){},!&|NB", ""))
 _LEX_EXPECTED = {"-": "'->'", "<": "'<->' or '<N>'"}
 
-# Parentheses nest at most this deep (two stack frames a level), or "formula nested too deeply".
+# Parentheses nest at most this deep, or "formula nested too deeply".  A level takes up to five
+# stack frames: ``binary`` at levels 0-3, then ``unary``, as in "(p <-> q -> r | s & (".
 _MAX_NESTING = 180
 
 
@@ -132,8 +135,16 @@ class _Parser:
                 return left
             self._pos += 1
             op_level, node, grouping = infix
-            right_level = op_level if grouping == "right" else op_level + 1
-            right = self.binary(right_level) if right_level < _UNARY else self.unary()
+            right = self.binary(op_level + 1) if op_level + 1 < _UNARY else self.unary()
+            if grouping == "right" and self._tokens[self._pos] == "->":  # the one "right"
+                chain = [right]  # connective: the rest of its chain here, grouped from the right
+                while self._tokens[self._pos] == "->":
+                    self._pos += 1
+                    chain.append(self.binary(op_level + 1))
+                right = chain.pop()
+                for operand in reversed(chain):
+                    key = node, id(operand), id(right)
+                    right = nodes.get(key) or nodes.setdefault(key, node(operand, right))
             key = node, id(left), id(right)
             left = nodes.get(key) or nodes.setdefault(key, node(left, right))  # a node is truthy
             if grouping is None:
@@ -149,8 +160,10 @@ class _Parser:
                 self._pos += 1
                 members.append(self._ident("an agent id"))
         self._take("}", "'}'")
-        key = tuple(members)  # B{}'s coalition is falsy: setdefault keeps the first
-        return self._nodes.get(key) or self._nodes.setdefault(key, Coalition(members))
+        coalition = self._nodes.get(key := tuple(members))
+        if coalition is None:  # B{}'s coalition is falsy, so `or` would build it every time
+            coalition = self._nodes[key] = Coalition(members)
+        return coalition
 
     def unary(self) -> Formula:
         """A run of prefix heads, read in a loop (no run is too long), then their operand."""
@@ -200,11 +213,7 @@ def _parse(text: str, nodes: dict) -> Formula:
         return made
     tokens = _TOKEN.findall(text)
     parser = _Parser(text, tokens, nodes)
-    try:
-        result = parser.binary(0)
-    except RecursionError as e:  # a character that starts no token still comes first
-        error = parser._fail("")  # its `expected` is "" unless it reports one
-        raise error if error.expected else e
+    result = parser.binary(0)
     if tokens[parser._pos]:
         raise parser._fail("end of input")
     nodes[text] = result

@@ -322,6 +322,19 @@ def test_long_chain_that_overflows_the_printer_is_an_input_error(capsys):
     assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
 
 
+def test_a_long_implication_chain_that_overflows_the_printer_or_the_fold_is_an_input_error(
+    capsys, lopez_file
+):
+    # The parser reads the 5,000 arrows in a loop; printing and folding them recurse.
+    chain = "dead -> " * 5000 + "dead"
+    for argv in (
+        ["fmt", "--formula", chain],
+        ["check", "--game", str(lopez_file), "--play", "0", "--formula", chain],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+
+
 def test_a_long_run_of_prefixes_that_overflows_the_printer_or_the_fold_is_an_input_error(
     capsys, lopez_file
 ):

@@ -190,3 +190,27 @@ def test_no_output_or_cleanup_waits_on_a_finalizer():
     assert opened >= {"cli", "proofs"}
     assert not unmanaged, f"open() outside a with item: {unmanaged}"
     assert not finalizers, f"classes with __del__: {finalizers}"
+
+
+def test_only_the_record_base_sets_slots_or_skips_new():
+    # _Record.__init_subclass__ writes each record's one function that sets its slots;
+    # no other code calls a slot's __set__ or builds an instance through object.__new__.
+    found = []
+    for path in sorted(Path(blamelogic.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_Record"
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__init_subclass__"
+            for node in ast.walk(item)
+        }
+        found += [
+            f"{path.stem}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and id(node) not in allowed
+            and (node.attr == "__set__" or node.attr == "__new__"
+                 and isinstance(node.value, ast.Name) and node.value.id == "object")
+        ]  # fmt: skip
+    assert not found, f"slot plumbing outside _Record.__init_subclass__: {found}"

@@ -29,6 +29,7 @@ from blamelogic import (
     parse,
     possibly,
 )
+from blamelogic import parser
 from blamelogic.generate import _draw, _leaf_table
 from blamelogic.parser import _MAX_NESTING
 from smallscope import _closing
@@ -395,8 +396,43 @@ def test_a_run_of_prefix_heads_is_read_in_a_loop():
 
 
 def test_a_bad_character_comes_before_a_recursion_error():
-    # The right-hand side of "->" is still read by recursion; past its limit a
+    # A "->" chain is read in a loop, so parsing runs on to the end of this one; a
     # character that starts no token is reported, as it was when lexing came first.
     with pytest.raises(ParseError) as exc:
         parse("p -> " * 5000 + "p $")
     assert (exc.value.position, exc.value.expected, exc.value.found) == (25_002, "a token", "'$'")
+
+
+def test_an_implication_chain_is_read_in_a_loop():
+    # 5,000 arrows parse in the test's own frames, far past the recursion limit.
+    f = parse("p -> " * 5000 + "p")
+    for _ in range(5000):
+        assert type(f) is Implies and f.left == p
+        f = f.right
+    assert f == p
+
+
+def test_an_implication_chain_groups_from_the_right():
+    a, b, c, d = (Prop(name) for name in "abcd")
+    assert parse("a -> b -> c -> d") == parse("a -> (b -> (c -> d))")
+    assert parse("a -> b -> c -> d") == Implies(a, Implies(b, Implies(c, d)))
+    assert parse("a | b -> c & d -> a <-> b") == Iff(Implies(Or(a, b), Implies(And(c, d), a)), b)
+    # Repeated operands, and a chain whose innermost arrow the table already holds.
+    assert parse("p -> q -> p -> q -> p") == Implies(p, Implies(q, Implies(p, Implies(q, p))))
+    f = parse("(q -> p) & (p -> q -> p)")
+    assert f == And(Implies(q, p), Implies(p, Implies(q, p))) and f.right.right is f.left
+
+
+def test_b_heads_build_one_coalition_a_table(monkeypatch):
+    # B{}'s coalition is falsy: the table must still hand it back, not build another.
+    # The parser's Coalition(...) checks the members, then builds through _canonical.
+    built, canonical = [], parser.Coalition._canonical
+
+    def counting(cls, members):
+        built.append(members)
+        return canonical(members)
+
+    monkeypatch.setattr(parser.Coalition, "_canonical", classmethod(counting))
+    f = parse("B{} p & B{} q -> B{} (B{b,a} p | B{} B{b,a} q)")
+    assert built == [(), ("a", "b")]
+    assert f.left.left.coalition is f.left.right.coalition is f.right.coalition

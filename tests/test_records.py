@@ -13,6 +13,7 @@ from blamelogic import (
     Coalition,
     EvalTable,
     Game,
+    GameValidationError,
     GenParams,
     Justification,
     Not,
@@ -30,6 +31,7 @@ from blamelogic import (
     load_proof,
     parse,
 )
+from blamelogic.formula import _Record
 
 HIDE = {"lopez": "hide"}
 DEAD = Prop("dead")
@@ -226,3 +228,49 @@ def test_exceptions_pickle(cls):
         back = pickle.loads(pickle.dumps(error, protocol))
         assert type(back) is cls and str(back) == str(error)
         assert back.args == error.args and vars(back) == vars(error)
+
+
+# The records that check or normalise their fields in their own __new__.
+CHECKED = [case[:2] for case in CASES if case[0] in (Coalition, Play, Game, Strategy, GenParams)]
+
+
+def test_the_checked_records():
+    # The others have the generated function as their __init__.
+    assert [cls for cls, *_ in CASES if "__new__" in vars(cls)] == [cls for cls, _ in CHECKED]
+    assert all(("__init__" in vars(cls)) != ("__new__" in vars(cls)) for cls, *_ in CASES)
+
+
+@pytest.mark.parametrize("cls, kwargs", CHECKED, ids=[cls.__name__ for cls, _ in CHECKED])
+def test_canonical_builds_what_the_checked_constructor_builds(cls, kwargs):
+    record = cls(**kwargs)
+    trusted = cls._canonical(*fields_of(record, kwargs))
+    assert type(trusted) is cls and trusted == record and repr(trusted) == repr(record)
+
+
+def test_canonical_skips_the_checks():
+    assert Coalition._canonical(("b", "a")).members == ("b", "a")
+    game = Game._canonical((), (), (), (), {})
+    assert type(game) is Game and game.actions == ()
+    with pytest.raises(GameValidationError, match="empty action set"):
+        Game((), (), ())
+
+
+def test_a_record_gets_canonical_when_it_has_its_own_new():
+    class Checked(_Record):
+        __slots__ = ("a", "b")
+        _defaults = (2,)
+
+        def __new__(cls, a, b=2):
+            return cls._canonical(-a, b)
+
+    assert "__init__" not in vars(Checked) and isinstance(vars(Checked)["_canonical"], classmethod)
+    assert Checked._canonical(1)._key == (1, 2) and Checked(1, 3)._key == (-1, 3)
+
+    class Plain(_Record):
+        __slots__ = ("a", "b")
+        _defaults = (2,)
+
+    assert "_canonical" not in vars(Plain) and not hasattr(Plain, "_canonical")
+    assert Plain(1)._key == (1, 2) and Plain(a=1, b=3)._key == (1, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Plain(1).a = 0
