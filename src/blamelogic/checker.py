@@ -46,7 +46,6 @@ __all__ = [
     "StrategySpaceError",
     "CoalitionCountError",
     "EvalTable",
-    "BlameEntry",
     "BlameReport",
     "satisfies",
     "evaluate_all",
@@ -81,13 +80,13 @@ class EvalTable(_Record):
     __slots__ = ("formula", "truth")
 
 
-class BlameEntry(_Record):
-    """A blamable coalition, its first preventing Strategy, and whether it is minimal."""
-
-    __slots__ = ("coalition", "witness", "minimal")
-
-
 class BlameReport(_Record):
+    """The blamable coalitions at one play, as ``entries``: a tuple of plain
+    ``(members, choice, minimal)`` triples in report order (size, then member ids).
+    ``members`` is the sorted id tuple, ``choice`` the first preventing strategy keyed
+    in member order (``blame_witness(...).choice``), and ``minimal`` says that no
+    proper subset is blamable."""
+
     __slots__ = ("play_index", "formula", "max_size", "entries")
 
     def as_dict(self) -> dict:
@@ -95,13 +94,9 @@ class BlameReport(_Record):
             "play": self.play_index,
             "formula": format_formula(self.formula),
             "max_size": self.max_size,
-            "blamable": [
-                {
-                    "coalition": list(e.coalition.members),
-                    "witness": dict(e.witness.choice),
-                    "minimal": e.minimal,
-                }
-                for e in self.entries
+            "blamable": [  # copies, so that editing the payload never edits the report
+                {"coalition": list(members), "witness": dict(choice), "minimal": minimal}
+                for members, choice, minimal in self.entries
             ],
         }
 
@@ -294,8 +289,9 @@ def blamable_coalitions(
 ) -> BlameReport:
     """Every coalition of size <= max_size blamable at the play, with witnesses.
 
-    Entries are ordered by size then members; inclusion-minimal ones are
-    flagged.  The formula failing at the play gives an empty report.
+    Entries are ``(members, choice, minimal)`` triples (see ``BlameReport``),
+    ordered by size then members; inclusion-minimal ones are flagged.  The
+    formula failing at the play gives an empty report.
 
     Blamability is upward closed: a strategy that prevents the formula
     extends to one for any superset.  So nothing is blamable when the
@@ -352,12 +348,11 @@ def blamable_coalitions(
             bits = sum(picked)
             if (code := codes.get(bits, 0)) is None:
                 continue
-            coalition = Coalition._canonical(members)
             choice = _choice(g, bits, code) if code else dict.fromkeys(members, first)
             minimal = size == 1 or not bits & singles and all(
                 codes.get(bits ^ w, 0) is None for w in picked
             )
-            entries.append(BlameEntry(coalition, Strategy._canonical(coalition, choice), minimal))
+            entries.append((members, choice, minimal))
     return BlameReport(play_index, f, max_size, tuple(entries))
 
 

@@ -97,8 +97,9 @@ class _NestingError(ParseError):
 
 class _Parser:
     def __init__(self, text: str, tokens: list[str], nodes: dict) -> None:
-        # The table: atoms by name, coalitions by raw members, parsed texts by text, and
-        # other nodes by (type, id(child), ...), valid since the table holds every child.
+        # The table: atoms by name, coalitions by members as written and as sorted, parsed
+        # texts by text, and other nodes by (type, id(child), ...), valid since the table
+        # holds every child.
         self._text, self._tokens, self._nodes = text, tokens, nodes
         self._pos = self._depth = 0
 
@@ -162,7 +163,10 @@ class _Parser:
         self._take("}", "'}'")
         coalition = self._nodes.get(key := tuple(members))
         if coalition is None:  # B{}'s coalition is falsy, so `or` would build it every time
-            coalition = self._nodes[key] = Coalition(members)
+            # One per member set: B{b,a} is B{a,b}.  Sorting only on a miss keeps hits cheap.
+            if (coalition := self._nodes.get(canonical := tuple(sorted(set(members))))) is None:
+                coalition = self._nodes[canonical] = Coalition(members)
+            self._nodes[key] = coalition
         return coalition
 
     def unary(self) -> Formula:

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import time
 
 import pytest
@@ -106,7 +108,7 @@ class TestTwoAgent:
     def test_each_singleton_can_prevent(self):
         g = two_agent_game()
         report = blamable_coalitions(g, 3, parse("p"))
-        got = [(e.coalition.members, e.witness.choice, e.minimal) for e in report.entries]
+        got = [(members, choice, minimal) for members, choice, minimal in report.entries]
         assert got == [
             (("a",), {"a": "zero"}, True),
             (("b",), {"b": "zero"}, True),
@@ -116,7 +118,7 @@ class TestTwoAgent:
     def test_max_size_cuts_the_list(self):
         g = two_agent_game()
         report = blamable_coalitions(g, 3, parse("p"), max_size=1)
-        assert [e.coalition.members for e in report.entries] == [("a",), ("b",)]
+        assert [members for members, _, _ in report.entries] == [("a",), ("b",)]
 
     def test_max_size_bounds(self):
         g = two_agent_game()
@@ -162,7 +164,7 @@ class TestErrors:
         fields = (("x", "y"), ("o",), (Play({"a": "x"}, "o"),), {"p": {0}})
         assert violations(("a", "a"), *fields) == ["duplicate agent 'a'"]
         entries = blamable_coalitions(Game(("a",), *fields), 0, parse("p")).entries
-        assert [(e.coalition, e.witness.choice) for e in entries] == [(Coalition(["a"]), {"a": "y"})]
+        assert [(members, choice) for members, choice, _ in entries] == [(("a",), {"a": "y"})]
 
     def test_cap_is_never_silent(self, set_cap):
         agents = tuple(f"g{i}" for i in range(5))
@@ -410,31 +412,65 @@ def test_blame_search_matches_the_definitions():
                 false_plays += not satisfies(g, play, f)
                 max_size = rng.below(len(g.agents) + 1)
                 report = blamable_coalitions(g, play, f, max_size)
-                got = [(e.coalition.members, e.witness.choice, e.minimal) for e in report.entries]
+                got = [(members, choice, minimal) for members, choice, minimal in report.entries]
                 assert got == reference_blame(g, play, f, max_size)
                 for members, choice, _ in got:
                     assert blame_witness(g, play, Coalition(members), f).choice == choice
     assert false_plays  # the empty report for a false formula is covered too
 
 
-def test_blame_reports_are_pinned():
-    # The CLI's JSON for a 10-agent game with p0 at one play, a 6-agent game at
-    # every max_size, and bench-shaped games with agents out of id order; the
-    # digest was taken before the blame search was last rewritten.
+def pinned_blame_cases():
+    """(game, max_size, formula): a 10-agent game with p0 at one play, a 6-agent
+    game at every max_size, then two bench-shaped games with agents out of id order."""
     rng = SplitMix64(20261021)
     p0, either = parse("p0"), parse("p0 | p1")
     six = bench_game(rng, 6, 3, 40, 20)
     cases = [(bench_game(rng, 10, 2, 32, 1), None, p0)]
     cases += [(six, k, f) for k in range(7) for f in (p0, either)]
     cases += [(bench_game(rng, *shape), None, p0) for shape in ((8, 3, 60, 3), (8, 2, 30, 27))]
+    return cases
+
+
+def test_blame_reports_are_pinned():
+    # The CLI's JSON for every pinned case at every play; the digest was taken
+    # before the blame search was last rewritten.
     digest, entries = hashlib.sha256(), 0
-    for g, max_size, f in cases:
+    for g, max_size, f in pinned_blame_cases():
         for play in range(len(g.plays)):
             report = blamable_coalitions(g, play, f, max_size)
             digest.update(json.dumps(report.as_dict(), indent=2).encode())
             entries += len(report.entries)
     pinned = "776a20db861e0bcb589cf97cd933a3a3c9b67512c82dd692db160b3ad158a140"
     assert (entries, digest.hexdigest()) == (15_008, pinned)
+
+
+def test_report_entries_are_plain_triples_the_payload_copies():
+    # On the 10-agent game and the 6-agent one at every max_size: each entry is a
+    # (members, choice, minimal) triple, as_dict maps it to its row, editing the
+    # payload leaves the report as it was, and a report pickles and copies equal.
+    entries = 0
+    for g, max_size, f in pinned_blame_cases()[:15]:
+        for play in range(len(g.plays)):
+            report = blamable_coalitions(g, play, f, max_size)
+            before = copy.deepcopy(report.entries)
+            for entry in report.entries:
+                assert type(entry) is tuple and len(entry) == 3
+                members, choice, minimal = entry
+                assert (type(members), type(choice), type(minimal)) == (tuple, dict, bool)
+                assert list(members) == sorted(set(members)) == list(choice)
+            payload = report.as_dict()
+            assert payload["blamable"] == [
+                {"coalition": list(members), "witness": dict(choice), "minimal": minimal}
+                for members, choice, minimal in report.entries
+            ]
+            for row in payload["blamable"]:
+                row["witness"][row["coalition"][0]] = "edited"
+                row["coalition"].append("edited")
+                row["minimal"] = not row["minimal"]
+            assert report.entries == before
+            assert pickle.loads(pickle.dumps(report)) == report == copy.deepcopy(report)
+            entries += len(report.entries)
+    assert entries == 9_689  # 1,023 of them at the 10-agent game's one p0 play
 
 
 def test_blame_search_one_action_many_agents():
@@ -546,8 +582,8 @@ def route_outcomes(g, f):
         answers.append(outcome(lambda: [satisfies(g, i, f) for i in range(len(g.plays))]))
         answers.append(outcome(lambda: [blame_witness(g, i, a, f) for i in range(len(g.plays))]))
         answers.append(outcome(lambda: [
-            [(e.coalition, e.witness, e.minimal) for e in blamable_coalitions(g, i, f).entries]
-            for i in range(len(g.plays))
+            [(members, choice, minimal) for members, choice, minimal in report.entries]
+            for report in [blamable_coalitions(g, i, f) for i in range(len(g.plays))]
         ]))  # fmt: skip
     return answers
 
@@ -587,7 +623,7 @@ def test_every_route_matches_the_definitions_at_small_scope(set_cap):
                 witness = Strategy(a, {"a": free[0]}) if free else None
                 expected = [witness if v else None for v in truth]
                 assert got[3] == expected, f
-                assert got[4] == [[(a, w, True)] if w else [] for w in expected], f
+                assert got[4] == [[(a.members, w.choice, True)] if w else [] for w in expected], f
     assert seen == {(None, None), (None, "cap"), ("agents", "agents"), ("cap", "cap")}
 
 
@@ -655,7 +691,7 @@ def test_a_shared_subformula_is_walked_once(set_cap):
     for _ in range(64):
         f = And(f, f)
     assert [n.coalition for n in blame_nodes(f)] == [Coalition(["a"])]
-    assert [e.coalition for e in blamable_coalitions(g, 0, f).entries] == [Coalition(["a"])]
+    assert [members for members, _, _ in blamable_coalitions(g, 0, f).entries] == [("a",)]
     assert blame_witness(g, 0, Coalition(["a"]), f) == Strategy(["a"], {"a": "y"})
     with pytest.raises(ValueError, match=r"agents not in the game: \['ghost'\]"):
         evaluate_all(g, And(f, parse("B{ghost} p")))

@@ -16,9 +16,10 @@ SRC = str(Path(blamelogic.__file__).resolve().parents[1])
 MODULES = (formula, parser, game, checker, proofs, generate)
 
 # The public names of the package before it loaded its modules lazily, less
-# `validate`, which every Game now runs when it is built.
+# `validate`, which every Game now runs when it is built, and `BlameEntry`: a
+# blame report's entries are plain (members, choice, minimal) triples.
 PUBLIC = {
-    "And", "AtomLimitError", "BUNDLED_NAMES", "Blame", "BlameEntry", "BlameReport",
+    "And", "AtomLimitError", "BUNDLED_NAMES", "Blame", "BlameReport",
     "Bottom", "Coalition", "CoalitionCountError", "EvalTable", "Formula", "Game",
     "GameFormatError", "GameValidationError", "GenParams", "Iff",
     "Implies", "InstantiationError", "Justification", "Necessity", "Not", "Or",

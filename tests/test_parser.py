@@ -436,3 +436,8 @@ def test_b_heads_build_one_coalition_a_table(monkeypatch):
     f = parse("B{} p & B{} q -> B{} (B{b,a} p | B{} B{b,a} q)")
     assert built == [(), ("a", "b")]
     assert f.left.left.coalition is f.left.right.coalition is f.right.coalition
+    # The same members in another order are the same coalition.
+    built.clear()
+    f = parse("B{b,a} p & B{a,b} q")
+    assert built == [("a", "b")]
+    assert f.left.coalition is f.right.coalition

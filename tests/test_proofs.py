@@ -549,6 +549,12 @@ class TestSharedTexts:
         assert proof.hypotheses[0] is proof.lines[0].formula is proof.claim
         assert proof.claim == parse(text) and check_proof(proof) is None
 
+    def test_one_member_set_in_any_order_is_one_coalition(self):
+        line = {"formula": "B{b,a} p", "just": {"kind": "hyp", "from": [1]}}
+        script = {"hypotheses": ["B{b,a} p"], "claim": "B{a,b,a} q", "lines": [line]}
+        proof = load_proof(json.dumps(script))
+        assert proof.hypotheses[0].coalition is proof.claim.coalition == Coalition(["a", "b"])
+
     def test_a_text_that_fails_fails_again_with_the_same_message(self):
         nodes: dict = {}
         _parse("p & q", nodes)

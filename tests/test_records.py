@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from blamelogic import (
-    BlameEntry,
     BlameReport,
     Coalition,
     EvalTable,
@@ -35,7 +34,6 @@ from blamelogic.formula import _Record
 
 HIDE = {"lopez": "hide"}
 DEAD = Prop("dead")
-WITNESS = Strategy(Coalition(["lopez"]), HIDE)
 HYP = Justification("hyp", (1,))
 
 # class, keyword arguments of one sample, its repr, one field change, whether it hashes
@@ -53,10 +51,6 @@ CASES = [
      {"choice": {"lopez": "expose"}}, False),
     (EvalTable, {"formula": DEAD, "truth": (False, True)},
      "EvalTable(formula=Prop(name='dead'), truth=(False, True))", {"truth": (True, True)}, True),
-    (BlameEntry, {"coalition": Coalition(["lopez"]), "witness": WITNESS, "minimal": True},
-     "BlameEntry(coalition=Coalition(members=('lopez',)), witness=Strategy(coalition="
-     "Coalition(members=('lopez',)), choice={'lopez': 'hide'}), minimal=True)",
-     {"minimal": False}, False),
     (BlameReport, {"play_index": 2, "formula": DEAD, "max_size": 1, "entries": ()},
      "BlameReport(play_index=2, formula=Prop(name='dead'), max_size=1, entries=())",
      {"max_size": 0}, True),
